@@ -13,7 +13,7 @@ from .phase_opt import (PhaseOptProblem, PhaseSolution, check_feasibility, grid_
                         optimal_phase_ask, optimal_phase_psk, solve_phase_problem)
 from .pt_rate import (AskAsymptoticCoefficients, PskAsymptoticCoefficients, RateReport,
                       max_pt_rate_ask, max_pt_rate_psk, pt_rate_ask_infinite, pt_rate_finite,
-                      pt_rate_finite_expanded, pt_rate_no_bd, pt_rate_psk_infinite, rate_gain)
+                      pt_rate_no_bd, pt_rate_psk_infinite, rate_gain)
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario, write_scenario
 
 __version__ = "0.1.0"
@@ -60,7 +60,6 @@ __all__ = [
     "path_loss",
     "pt_rate_ask_infinite",
     "pt_rate_finite",
-    "pt_rate_finite_expanded",
     "pt_rate_no_bd",
     "pt_rate_psk_infinite",
     "rate_gain",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -155,6 +156,27 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics, tol: float = DEFAULT_M
     )
 
 
+def _sample_mean(samples: int, chunk: int,
+                 draw: Callable[[list[tuple[int, int]]], Iterator[np.ndarray]]) -> MiEstimate:
+    """Sample mean and standard error of `samples` values drawn in chunks.
+
+    `draw` takes the (chunk index, size) of every chunk and yields each
+    chunk's values in turn; chunks are summed in index order, so a result
+    depends only on what each chunk draws.  A generator keeps one chunk's
+    arrays alive until the next chunk replaces them, so their memory is
+    reused rather than handed back to the system and faulted in again.
+    """
+    plan = [(i, min(chunk, samples - start)) for i, start in enumerate(range(0, samples, chunk))]
+    total = total_sq = 0.0
+    for vals in draw(plan):
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+    mean = total / samples
+    var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
+    return MiEstimate(value_bits=mean, std_error_bits=math.sqrt(var / samples),
+                      method="monte_carlo")
+
+
 def mi_monte_carlo(c: Constellation, stats: MrcStatistics, samples: int,
                    seed: int) -> MiEstimate:
     """Monte Carlo estimate of the same mutual information.
@@ -166,36 +188,23 @@ def mi_monte_carlo(c: Constellation, stats: MrcStatistics, samples: int,
     """
     if samples < 10_000:
         raise ValueError(f"samples must be >= 10000, got {samples!r}")
-    points = np.asarray(c.points, dtype=complex)
-    M = len(points)
-    if stats.gain != 0.0 and stats.noise_var <= 0.0:
+    if stats.gain == 0.0:
+        return MiEstimate(value_bits=0.0, std_error_bits=0.0, method="monte_carlo")
+    if stats.noise_var <= 0.0:
         raise ValueError(f"noise_var must be > 0, got {stats.noise_var!r}")
+    points = np.asarray(c.points, dtype=complex)
+    half = math.sqrt(stats.noise_var / 2.0)
 
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        n = min(_MC_CHUNK, samples - done)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-        m = rng.integers(0, M, size=n)
-        if stats.gain == 0.0:
-            vals = np.zeros(n)
-        else:
-            half = math.sqrt(stats.noise_var / 2.0)
+    def draw(plan: list[tuple[int, int]]) -> Iterator[np.ndarray]:
+        for chunk_index, n in plan:
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
+            m = rng.integers(0, len(points), size=n)
             w = half * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
             y = stats.gain * points[m] + w
-            vals = _log_ratio_bits(y, m, points, stats.gain, stats.noise_var)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += n
-        chunk_index += 1
+            yield _log_ratio_bits(y, m, points, stats.gain, stats.noise_var)
 
-    mean = total / samples
-    var = max(total_sq - samples * mean * mean, 0.0) / max(samples - 1, 1)
-    return MiEstimate(value_bits=mean, std_error_bits=math.sqrt(var / samples),
-                      method="monte_carlo")
+    return _sample_mean(samples, _MC_CHUNK, draw)
 
 
 def bd_rate(sys: SystemParams, ch: ChannelTriple, c: Constellation,

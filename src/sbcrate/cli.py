@@ -17,11 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .bd_rate import PrecisionError, bd_rate, mi_monte_carlo, mrc_statistics, mi_quadrature
-from .channel import TWO_PI, ChannelTriple
+from .channel import TWO_PI
 from .constellation import equal_power_psk_amplitude
 from .phase_opt import PhaseOptProblem, optimal_phase_ask, optimal_phase_psk, solve_phase_problem
-from .pt_rate import (mask_rate_curve, max_pt_rate_ask, max_pt_rate_psk, mpsk_rate_curve,
-                      pt_rate_no_bd, pt_rate_psk_infinite, rate_gain)
+from .pt_rate import (_mask_amplitudes, _psk_optimum_points, _rate_bits, mask_rate_curve,
+                      max_pt_rate_ask, max_pt_rate_psk, mpsk_rate_curve, pt_rate_no_bd,
+                      pt_rate_psk_infinite, rate_gain)
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_hash
 
 #: Equal-power ring amplitude in the infinite-order limit of the amplitude grid.
@@ -30,13 +31,6 @@ _EQUAL_POWER_LIMIT = math.sqrt(1.0 / 3.0)
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def _scaled_h1(ch: ChannelTriple, ratio: float) -> ChannelTriple:
-    """Channel with |h1| set to ratio * |h2||h3|, direct-link phase kept."""
-    if ch.a1 == 0.0:
-        raise ScenarioError("ratio sweep needs a nonzero direct-link fading sample")
-    return ChannelTriple(h1=ch.h1 * (ratio * ch.a23 / ch.a1), h2=ch.h2, h3=ch.h3)
 
 
 def _meta(scn: Scenario, command: str) -> list[str]:
@@ -100,24 +94,23 @@ def cmd_ratio_sweep(scn: Scenario, args) -> list[str]:
     steps = args.grid or scn.sweep.steps
     if not steps or steps < 2:
         raise ScenarioError("ratio-sweep needs at least 2 grid points")
-    sy, ch = scn.system, scn.channel()
+    rho, a23 = scn.system.snr_scale, scn.channel().a23
     M = scn.order
     alpha0 = equal_power_psk_amplitude(M)  # equal average power per order
     grid = np.linspace(scn.sweep.lo, scn.sweep.hi, steps)
+    ask_points, psk_points = _mask_amplitudes(M), _psk_optimum_points(M, alpha0)
 
-    def ask_minus_psk(ratio: float) -> float:
-        chr_ = _scaled_h1(ch, ratio)
-        return max_pt_rate_ask(sy, chr_, M) - max_pt_rate_psk(sy, chr_, M, alpha0)
+    def optima(ratios):
+        # Both optimal rates with |h1| = ratio * |h2||h3|.
+        h1 = np.asarray(ratios)[..., None] * a23
+        return _rate_bits(rho, h1, a23, ask_points), _rate_bits(rho, h1, a23, psk_points)
 
     lines = _meta(scn, "ratio-sweep")
     lines.append(f"# order={M} psk_amplitude={_fmt(alpha0)}")
     lines.append("ratio,rate_ask_opt_bits,rate_psk_opt_bits")
-    diffs = []
-    for r in grid:
-        chr_ = _scaled_h1(ch, float(r))
-        ask = max_pt_rate_ask(sy, chr_, M)
-        psk = max_pt_rate_psk(sy, chr_, M, alpha0)
-        diffs.append(ask - psk)
+    asks, psks = optima(grid)
+    diffs = asks - psks
+    for r, ask, psk in zip(grid, asks, psks):
         lines.append(f"{_fmt(r)},{_fmt(ask)},{_fmt(psk)}")
     sign = np.sign(diffs)
     brackets = [i for i in range(len(grid) - 1)
@@ -128,7 +121,8 @@ def cmd_ratio_sweep(scn: Scenario, args) -> list[str]:
         fa = diffs[i]
         for _ in range(80):  # bisection to machine precision on the grid cell
             mid = 0.5 * (a + b)
-            fm = ask_minus_psk(mid)
+            ask, psk = optima(mid)
+            fm = float(ask - psk)
             if fm == 0.0:
                 a = b = mid
                 break
@@ -163,8 +157,7 @@ def cmd_order_sweep(scn: Scenario, args) -> list[str]:
     orders = _power_of_two_orders(lo, hi)
     sy, ch = scn.system, scn.channel()
     lines = _meta(scn, "order-sweep")
-    amp_note = "equal-power" if (scn.equal_power or scn.amplitude is None) \
-        else _fmt(scn.amplitude)
+    amp_note = _fmt(scn.amplitude) if isinstance(scn.amplitude, float) else "equal-power"
     lines.append(f"# psk_amplitude={amp_note} psk_suboptimal_phase=anti-optimal")
     lines.append("order,rate_ask_opt_bits,rate_psk_opt_bits,rate_psk_subopt_bits")
     for M in orders:
@@ -175,8 +168,7 @@ def cmd_order_sweep(scn: Scenario, args) -> list[str]:
         sub_phase = (optimal_phase_psk(ch.theta0, M).phase_rad + math.pi / M) % (TWO_PI / M)
         sub = float(mpsk_rate_curve(sy, ch, M, alpha0, np.array([sub_phase]))[0])
         lines.append(f"{M},{_fmt(ask)},{_fmt(psk)},{_fmt(sub)}")
-    alpha_inf = _EQUAL_POWER_LIMIT if (scn.equal_power or scn.amplitude is None) \
-        else scn.amplitude
+    alpha_inf = scn.amplitude if isinstance(scn.amplitude, float) else _EQUAL_POWER_LIMIT
     lines.append(f"# psk_infinite_rate_bits={_fmt(pt_rate_psk_infinite(sy, ch, alpha_inf))}")
     return lines
 

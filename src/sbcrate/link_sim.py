@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
-from .bd_rate import MiEstimate, _log_ratio_bits, mrc_statistics
+from .bd_rate import MiEstimate, _log_ratio_bits, _sample_mean, mrc_statistics
 from .channel import ChannelTriple, SystemParams
 from .constellation import Constellation
 
@@ -130,23 +131,14 @@ def empirical_bd_mi(sys: SystemParams, ch: ChannelTriple, c: Constellation,
         raise ValueError(f"n_bd_symbols must be >= 10000, got {n_bd_symbols!r}")
     stats = mrc_statistics(sys, ch)
     points = np.asarray(c.points, dtype=complex)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # low-L warning surfaced once by callers
-        while done < n_bd_symbols:
-            n = min(_SIM_CHUNK, n_bd_symbols - done)
+
+    def draw(plan: list[tuple[int, int]]) -> Iterator[np.ndarray]:
+        for chunk_index, n in plan:
             block = simulate_block(sys, ch, c, n, rng.generator(chunk_index))
             y = sic_mrc_receiver(block, sys, ch)
-            vals = _log_ratio_bits(y, block.bd_symbol_indices, points,
-                                   stats.gain, stats.noise_var)
-            total += float(vals.sum())
-            total_sq += float((vals * vals).sum())
-            done += n
-            chunk_index += 1
-    mean = total / n_bd_symbols
-    var = max(total_sq - n_bd_symbols * mean * mean, 0.0) / (n_bd_symbols - 1)
-    return MiEstimate(value_bits=mean, std_error_bits=math.sqrt(var / n_bd_symbols),
-                      method="monte_carlo")
+            yield _log_ratio_bits(y, block.bd_symbol_indices, points,
+                                  stats.gain, stats.noise_var)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # low-L warning surfaced once by callers
+        return _sample_mean(n_bd_symbols, _SIM_CHUNK, draw)

@@ -4,8 +4,9 @@ The device rate is invariant to the base phase, so the constrained problems
 (maximize the primary rate subject to a minimum device rate) reduce to a
 one-time feasibility check plus an unconstrained phase choice.  Amplitude
 keying aligns the common phase against the composite channel phase; phase
-keying centers the symbol fan so that the two symbols nearest the channel
-phase straddle it symmetrically.
+keying of even order centers the symbol fan so that the two symbols nearest
+the channel phase straddle it symmetrically, and of odd order aligns one
+symbol with it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .bd_rate import bd_rate
 from .channel import TWO_PI, ChannelTriple, SystemParams
 from .constellation import equal_power_psk_amplitude, mask_constellation, mpsk_constellation
-from .pt_rate import mask_rate_curve, mpsk_rate_curve, pt_rate_finite
+from .pt_rate import psk_optimal_offset, pt_rate_finite
 
 
 @dataclass(frozen=True)
@@ -72,20 +73,18 @@ def optimal_phase_ask(theta0: float) -> PhaseSolution:
 
 
 def optimal_phase_psk(theta0: float, M: int) -> PhaseSolution:
-    """Base phase maximizing the order-M phase-keyed rate: (pi/M - theta0) mod 2pi/M.
+    """Base phase maximizing the order-M phase-keyed rate: (offset - theta0) mod 2pi/M.
 
-    Proven optimal for M a power of two; for other orders the same formula is
-    applied, and callers that care cross-check against the grid oracle (the
-    acceptance suite records where they disagree).  The wrap index eta
-    satisfies phi0 = pi/M + 2 eta pi / M - theta0.
+    The offset is :func:`~sbcrate.pt_rate.psk_optimal_offset`: pi/M for even
+    M, 0 for odd M.  The wrap index eta satisfies
+    phi0 = offset + 2 eta pi / M - theta0.
     """
-    if not (isinstance(M, int) and M >= 2):
-        raise ValueError(f"modulation order must be an integer >= 2, got {M!r}")
+    offset = psk_optimal_offset(M)
     period = TWO_PI / M
-    phase = (math.pi / M - theta0) % period
+    phase = (offset - theta0) % period
     if phase >= period:
         phase -= period
-    eta = round((phase + theta0 - math.pi / M) / period)
+    eta = round((phase + theta0 - offset) / period)
     return PhaseSolution(phase_rad=phase, wrap_index=int(eta))
 
 
@@ -94,20 +93,17 @@ def grid_search_phase(objective: Callable, lo: float, hi: float,
     """Argmax of the objective over a uniform grid on [lo, hi).
 
     The grid includes `lo` and excludes `hi`; ties break toward the smaller
-    phase.  The objective may be vectorized over numpy arrays (preferred for
-    dense grids) or a plain scalar callable.
+    phase.  The objective takes the array of grid phases and returns one value
+    per phase.
     """
     if points < 3:
         raise ValueError(f"grid needs at least 3 points, got {points!r}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got lo={lo!r} hi={hi!r}")
     grid = np.linspace(lo, hi, points, endpoint=False)
-    try:
-        vals = np.asarray(objective(grid), dtype=float)
-        if vals.shape != grid.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(objective(x)) for x in grid])
+    vals = np.asarray(objective(grid), dtype=float)
+    if vals.shape != grid.shape:
+        raise ValueError(f"objective returned shape {vals.shape}, expected {grid.shape}")
     best = int(np.argmax(vals))  # argmax takes the first maximum: smaller phase
     return float(grid[best]), float(vals[best])
 
@@ -151,13 +147,3 @@ def solve_phase_problem(problem: PhaseOptProblem, sys: SystemParams,
         feasible=check_feasibility(problem, sys, ch),
     )
 
-
-def mask_objective(sys: SystemParams, ch: ChannelTriple, M: int) -> Callable:
-    """Vectorized phase->rate objective for the amplitude-keyed grid oracle."""
-    return lambda phases: mask_rate_curve(sys, ch, M, phases)
-
-
-def mpsk_objective(sys: SystemParams, ch: ChannelTriple, M: int,
-                   alpha0: float) -> Callable:
-    """Vectorized phase->rate objective for the phase-keyed grid oracle."""
-    return lambda phases: mpsk_rate_curve(sys, ch, M, alpha0, phases)

@@ -1,9 +1,9 @@
 """Achievable rate of the primary transmitter.
 
 Finite modulation orders use the exact M-term average of log2(1 + SNR_m)
-over the equiprobable reflection states; the equivalent-channel magnitude is
-available both directly, |h1 + h2 h3 Gamma_m|^2, and in the expanded cosine
-form used by the phase optimizer.  Infinite orders use closed forms: the
+over the equiprobable reflection states, evaluated by one broadcasting
+kernel on the direct form |h1 + h2 h3 Gamma_m|^2, which does not cancel when
+the direct and backscatter paths nearly do.  Infinite orders use closed forms: the
 amplitude-keyed rate integrates the grid into a continuous uniform amplitude
 on [0, 1], the phase-keyed rate averages a continuous uniform phase over
 [0, 2pi).  All rates are bits per channel use.
@@ -29,7 +29,15 @@ class RateReport:
     pt_rate: float
     no_bd_rate: float
     gain: float
-    bd_rate: float | None = None
+
+
+def _rate_bits(rho: float, h1, h23, gammas) -> np.ndarray:
+    """Mean over the last axis of log2(1 + rho |h1 + h23 Gamma|^2), broadcasting.
+
+    The one evaluation of the finite-order primary rate: scalar rates, phase
+    curves, optimum values and sweeps differ only in the shapes passed.
+    """
+    return np.log1p(rho * np.abs(h1 + h23 * gammas) ** 2).mean(axis=-1) / _LN2
 
 
 def pt_rate_no_bd(sys: SystemParams, ch: ChannelTriple) -> float:
@@ -39,29 +47,7 @@ def pt_rate_no_bd(sys: SystemParams, ch: ChannelTriple) -> float:
 
 def pt_rate_finite(sys: SystemParams, ch: ChannelTriple, c: Constellation) -> float:
     """Exact finite-order rate (1/M) sum_m log2(1 + P|h1 + h2 h3 Gamma_m|^2 / sigma^2)."""
-    rho = sys.snr_scale
-    h23 = ch.h2 * ch.h3
-    acc = math.fsum(math.log1p(rho * abs(ch.h1 + h23 * p) ** 2) for p in c.points)
-    return acc / (c.order * _LN2)
-
-
-def pt_rate_finite_expanded(sys: SystemParams, ch: ChannelTriple, c: Constellation) -> float:
-    """The same rate through the expanded cosine form.
-
-    Each term uses |h1|^2 + |h2 h3 Gamma_m|^2 + 2 |h1||h2||h3| alpha_m
-    cos(theta0 + phi_m); agreement with :func:`pt_rate_finite` to machine
-    precision is a correctness invariant exercised by the tests.
-    """
-    rho = sys.snr_scale
-    a1, a23, theta0 = ch.a1, ch.a23, ch.theta0
-    acc = 0.0
-    for p in c.points:
-        am = abs(p)
-        phim = math.atan2(p.imag, p.real)
-        snr = rho * (a1**2 + (a23 * am) ** 2
-                     + 2.0 * a1 * a23 * am * math.cos(theta0 + phim))
-        acc += math.log1p(snr)
-    return acc / (c.order * _LN2)
+    return float(_rate_bits(sys.snr_scale, ch.h1, ch.h2 * ch.h3, np.asarray(c.points)))
 
 
 def rate_gain(sys: SystemParams, ch: ChannelTriple, c: Constellation) -> RateReport:
@@ -192,62 +178,67 @@ def pt_rate_psk_infinite(sys: SystemParams, ch: ChannelTriple, alpha0: float) ->
 # Optimal-phase maxima and vectorized phase curves
 # ---------------------------------------------------------------------------
 
+def _check_order(M: int) -> None:
+    if not (isinstance(M, int) and M >= 2):
+        raise ValueError(f"modulation order must be an integer >= 2, got {M!r}")
+
+
+def psk_optimal_offset(M: int) -> float:
+    """Relative phase theta0 + phi0 maximizing the order-M phase-keyed rate.
+
+    pi/M for even M, 0 for odd M.  Write the SNR of symbol m as
+    A |1 + r e^{i u_m}|^2 with u_m = theta0 + phi0 + 2 pi m / M and
+    0 <= r < 1.  Expanding log|1 + r e^{iu}|^2 = 2 sum_k (-1)^(k+1) r^k cos(ku) / k
+    and averaging over the M symbols keeps only the harmonics k = jM, which
+    sum to (1/M) log|1 - (-r)^M e^{iM(theta0 + phi0)}|^2.  That is largest
+    where (-r)^M e^{iM(theta0 + phi0)} is negative real, i.e. where
+    e^{iM(theta0 + phi0)} = (-1)^(M+1).
+    """
+    _check_order(M)
+    return math.pi / M if M % 2 == 0 else 0.0
+
+
+def _mask_amplitudes(M: int) -> np.ndarray:
+    """The M amplitude-keyed levels on [0, 1]; at the optimum they align with the channel."""
+    _check_order(M)
+    return np.arange(M) / (M - 1)
+
+
+def _psk_optimum_points(M: int, alpha0: float) -> np.ndarray:
+    """Phase-keyed points at the optimum, relative to the composite channel phase."""
+    return alpha0 * np.exp(1j * (psk_optimal_offset(M) + TWO_PI * np.arange(M) / M))
+
+
 def max_pt_rate_ask(sys: SystemParams, ch: ChannelTriple, M: int) -> float:
     """Finite-order amplitude-keyed rate at the rate-maximizing common phase.
 
     At the optimum every term aligns constructively:
     (1/M) sum log2(1 + P(|h1| + (m-1)/(M-1) |h2||h3|)^2 / sigma^2).
     """
-    if not (isinstance(M, int) and M >= 2):
-        raise ValueError(f"modulation order must be an integer >= 2, got {M!r}")
-    rho = sys.snr_scale
-    a1, a23 = ch.a1, ch.a23
-    acc = math.fsum(math.log1p(rho * (a1 + (m / (M - 1)) * a23) ** 2) for m in range(M))
-    return acc / (M * _LN2)
+    return float(_rate_bits(sys.snr_scale, ch.a1, ch.a23, _mask_amplitudes(M)))
 
 
 def max_pt_rate_psk(sys: SystemParams, ch: ChannelTriple, M: int, alpha0: float) -> float:
     """Finite-order phase-keyed rate at the rate-maximizing base phase.
 
-    The optimum places theta0 + phi0 at pi/M, i.e. symbol phases at
-    pi/M + 2pi(m-1)/M relative to the composite channel phase.
+    The symbols sit at psk_optimal_offset(M) + 2pi(m-1)/M relative to the
+    composite channel phase.
     """
-    if not (isinstance(M, int) and M >= 2):
-        raise ValueError(f"modulation order must be an integer >= 2, got {M!r}")
-    rho = sys.snr_scale
-    a1, a23 = ch.a1, ch.a23
-    acc = 0.0
-    for m in range(M):
-        cosv = math.cos(math.pi / M + TWO_PI * m / M)
-        snr = rho * (a1**2 + (a23 * alpha0) ** 2 + 2.0 * a1 * a23 * alpha0 * cosv)
-        acc += math.log1p(snr)
-    return acc / (M * _LN2)
+    return float(_rate_bits(sys.snr_scale, ch.a1, ch.a23, _psk_optimum_points(M, alpha0)))
 
 
 def mask_rate_curve(sys: SystemParams, ch: ChannelTriple, M: int,
                     phases: np.ndarray) -> np.ndarray:
     """Finite-order amplitude-keyed rate evaluated at an array of common phases."""
-    if M < 2:
-        raise ValueError(f"modulation order must be >= 2, got {M!r}")
-    rho = sys.snr_scale
-    a1, a23, theta0 = ch.a1, ch.a23, ch.theta0
-    amps = np.arange(M) / (M - 1)
     phases = np.atleast_1d(np.asarray(phases, dtype=float))
-    cosv = np.cos(theta0 + phases[:, None])
-    snr = rho * (a1**2 + (a23 * amps[None, :]) ** 2
-                 + 2.0 * a1 * a23 * amps[None, :] * cosv)
-    return np.log1p(snr).mean(axis=1) / _LN2
+    gammas = _mask_amplitudes(M) * np.exp(1j * phases[:, None])
+    return _rate_bits(sys.snr_scale, ch.h1, ch.h2 * ch.h3, gammas)
 
 
 def mpsk_rate_curve(sys: SystemParams, ch: ChannelTriple, M: int, alpha0: float,
                     phases: np.ndarray) -> np.ndarray:
     """Finite-order phase-keyed rate evaluated at an array of base phases."""
-    if M < 2:
-        raise ValueError(f"modulation order must be >= 2, got {M!r}")
-    rho = sys.snr_scale
-    a1, a23, theta0 = ch.a1, ch.a23, ch.theta0
-    offsets = TWO_PI * np.arange(M) / M
+    _check_order(M)
     phases = np.atleast_1d(np.asarray(phases, dtype=float))
-    cosv = np.cos(theta0 + phases[:, None] + offsets[None, :])
-    snr = rho * (a1**2 + (a23 * alpha0) ** 2 + 2.0 * a1 * a23 * alpha0 * cosv)
-    return np.log1p(snr).mean(axis=1) / _LN2
+    gammas = alpha0 * np.exp(1j * (phases[:, None] + TWO_PI * np.arange(M) / M))
+    return _rate_bits(sys.snr_scale, ch.h1, ch.h2 * ch.h3, gammas)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .channel import TWO_PI, ChannelTriple, PathLossModel, SystemParams, channel_from_path_loss
@@ -106,10 +106,8 @@ class Scenario:
     system: SystemParams
     scheme: str
     order: int
-    amplitude: float | None      # None selects the equal-power ring amplitude
-    equal_power: bool
-    base_phase: float | None     # None selects the closed-form optimum
-    optimal_phase: bool
+    amplitude: float | str | None  # a number, "equal-power", or None when not given
+    base_phase: float | None       # None selects the closed-form optimum
     min_bd_rate_bits: float
     sweep: SweepSpec | None
     seed: int
@@ -124,29 +122,32 @@ class Scenario:
 
     def resolved_alpha0(self, order: int | None = None) -> float:
         """Ring amplitude for phase keying at the given (or scenario) order."""
-        if self.equal_power or self.amplitude is None:
-            return equal_power_psk_amplitude(order or self.order)
-        return self.amplitude
+        if isinstance(self.amplitude, float):
+            return self.amplitude
+        return equal_power_psk_amplitude(order or self.order)
 
-    def resolved_base_phase(self, ch: ChannelTriple, order: int | None = None) -> float:
-        m = order or self.order
-        if self.optimal_phase or self.base_phase is None:
-            if self.scheme == "mask":
-                return optimal_phase_ask(ch.theta0).phase_rad
-            return optimal_phase_psk(ch.theta0, m).phase_rad
-        return self.base_phase
-
-    def build_constellation(self, ch: ChannelTriple,
-                            order: int | None = None,
-                            base_phase: float | None = None) -> Constellation:
-        m = order or self.order
-        if self.scheme == "mpsk" and self.resolved_alpha0(m) == 0.0:
-            # Zero ring amplitude: a silent device, phase immaterial.
-            return explicit_constellation([0j] * m)
-        phi0 = base_phase if base_phase is not None else self.resolved_base_phase(ch, m)
+    def resolved_base_phase(self, ch: ChannelTriple) -> float:
+        """The given base phase, or the closed-form optimum when none is given."""
+        if self.base_phase is not None:
+            return self.base_phase
         if self.scheme == "mask":
-            return mask_constellation(m, phi0)
-        return mpsk_constellation(m, self.resolved_alpha0(m), phi0)
+            return optimal_phase_ask(ch.theta0).phase_rad
+        return optimal_phase_psk(ch.theta0, self.order).phase_rad
+
+    def build_constellation(self, ch: ChannelTriple) -> Constellation:
+        if self.scheme == "mpsk" and self.resolved_alpha0() == 0.0:
+            # Zero ring amplitude: a silent device, phase immaterial.
+            return explicit_constellation([0j] * self.order)
+        if self.scheme == "mask":
+            return mask_constellation(self.order, self.resolved_base_phase(ch))
+        return mpsk_constellation(self.order, self.resolved_alpha0(), self.resolved_base_phase(ch))
+
+
+#: Path-loss keys, in file order; the `gain_*` keys also accept a `_db` form.
+_PATHLOSS_KEYS = tuple(f.name for f in fields(PathLossModel))
+#: Fading-sample keys, each with an optional primed twin.
+_LINKS = ("l1", "l2", "l3")
+_PRIMED = tuple(f"{k}_prime" for k in _LINKS)
 
 
 def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
@@ -155,14 +156,15 @@ def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
             raise ScenarioError(f"unknown key '{where}.{key}'")
 
 
-def _pick_db_or_linear(section: dict, name: str, where: str) -> float:
-    lin, db = section.get(name), section.get(f"{name}_db")
-    if lin is not None and db is not None:
-        raise ScenarioError(f"{where}.{name} and {where}.{name}_db are mutually exclusive")
-    if db is not None:
-        return db_to_linear(float(db))
+def _pick_linear(section: dict, name: str, log_name: str, to_linear, where: str) -> float:
+    """The linear value of `name`, or of its logarithmic alternative `log_name`."""
+    lin, log = section.get(name), section.get(log_name)
+    if lin is not None and log is not None:
+        raise ScenarioError(f"{where}.{name} and {where}.{log_name} are mutually exclusive")
+    if log is not None:
+        return to_linear(float(log))
     if lin is None:
-        raise ScenarioError(f"missing key {where}.{name} (or {where}.{name}_db)")
+        raise ScenarioError(f"missing key {where}.{name} (or {where}.{log_name})")
     return float(lin)
 
 
@@ -184,39 +186,29 @@ def parse_scenario(raw: dict) -> Scenario:
             raise ScenarioError(f"missing section 'scenario.{required}'")
 
     pl = raw["pathloss"]
-    _reject_unknown(pl, {"wavelength_m", "gain_pt", "gain_pt_db", "gain_rx", "gain_rx_db",
-                         "gain_bd", "gain_bd_db", "exponent", "d1_m", "d2_m", "d3_m"},
-                    "pathloss")
+    gains = [k for k in _PATHLOSS_KEYS if k.startswith("gain_")]
+    _reject_unknown(pl, {*_PATHLOSS_KEYS, *(f"{k}_db" for k in gains)}, "pathloss")
     try:
-        model = PathLossModel(
-            wavelength_m=float(pl["wavelength_m"]),
-            gain_pt=_pick_db_or_linear(pl, "gain_pt", "pathloss"),
-            gain_rx=_pick_db_or_linear(pl, "gain_rx", "pathloss"),
-            gain_bd=_pick_db_or_linear(pl, "gain_bd", "pathloss"),
-            exponent=float(pl["exponent"]),
-            d1_m=float(pl["d1_m"]),
-            d2_m=float(pl["d2_m"]),
-            d3_m=float(pl["d3_m"]),
-        )
+        model = PathLossModel(**{
+            k: (_pick_linear(pl, k, f"{k}_db", db_to_linear, "pathloss") if k in gains
+                else float(pl[k]))
+            for k in _PATHLOSS_KEYS})
     except KeyError as exc:
         raise ScenarioError(f"missing key 'pathloss.{exc.args[0]}'") from None
     except ValueError as exc:
         raise ScenarioError(f"invalid pathloss: {exc}") from None
 
     fd = raw["fading"]
-    _reject_unknown(fd, {"l1", "l2", "l3", "l1_prime", "l2_prime", "l3_prime", "use_prime"},
-                    "fading")
+    _reject_unknown(fd, {*_LINKS, *_PRIMED, "use_prime"}, "fading")
     try:
-        l1 = _parse_complex(fd["l1"], "fading.l1")
-        l2 = _parse_complex(fd["l2"], "fading.l2")
-        l3 = _parse_complex(fd["l3"], "fading.l3")
+        l1, l2, l3 = [_parse_complex(fd[k], f"fading.{k}") for k in _LINKS]
     except KeyError as exc:
         raise ScenarioError(f"missing key 'fading.{exc.args[0]}'") from None
-    primes = [fd.get(k) for k in ("l1_prime", "l2_prime", "l3_prime")]
+    primes = [fd.get(k) for k in _PRIMED]
     if any(p is not None for p in primes) and not all(p is not None for p in primes):
         raise ScenarioError("fading primed samples must be given for all three links or none")
-    lp = [(_parse_complex(p, f"fading.l{i+1}_prime") if p is not None else None)
-          for i, p in enumerate(primes)]
+    lp = [(_parse_complex(p, f"fading.{k}") if p is not None else None)
+          for k, p in zip(_PRIMED, primes)]
     use_prime = fd.get("use_prime", False)
     if not isinstance(use_prime, bool):
         raise ScenarioError(f"fading.use_prime must be a boolean, got {use_prime!r}")
@@ -226,15 +218,7 @@ def parse_scenario(raw: dict) -> Scenario:
     sy = raw["system"]
     _reject_unknown(sy, {"power_w", "noise_w", "noise_dbm", "spread"}, "system")
     try:
-        noise_w_raw, noise_dbm_raw = sy.get("noise_w"), sy.get("noise_dbm")
-        if noise_w_raw is not None and noise_dbm_raw is not None:
-            raise ScenarioError("system.noise_w and system.noise_dbm are mutually exclusive")
-        if noise_dbm_raw is not None:
-            noise_w = dbm_to_watt(float(noise_dbm_raw))
-        elif noise_w_raw is not None:
-            noise_w = float(noise_w_raw)
-        else:
-            raise ScenarioError("missing key system.noise_w (or system.noise_dbm)")
+        noise_w = _pick_linear(sy, "noise_w", "noise_dbm", dbm_to_watt, "system")
         spread = sy.get("spread", 128)
         if not isinstance(spread, int) or isinstance(spread, bool):
             raise ScenarioError(f"system.spread must be an integer, got {spread!r}")
@@ -253,27 +237,25 @@ def parse_scenario(raw: dict) -> Scenario:
     order = mo.get("order")
     if not (isinstance(order, int) and not isinstance(order, bool) and order >= 2):
         raise ScenarioError(f"modulation.order must be an integer >= 2, got {order!r}")
-    amp_raw = mo.get("amplitude")
-    equal_power = amp_raw == "equal-power"
-    amplitude: float | None = None
-    if amp_raw is not None and not equal_power:
-        if not isinstance(amp_raw, (int, float)):
+    amplitude = mo.get("amplitude")
+    if amplitude is not None and amplitude != "equal-power":
+        if not isinstance(amplitude, (int, float)):
             raise ScenarioError(f"modulation.amplitude must be a number or 'equal-power', "
-                                f"got {amp_raw!r}")
-        amplitude = float(amp_raw)
+                                f"got {amplitude!r}")
+        amplitude = float(amplitude)
         # Zero is allowed as the degenerate silent-device case.
         if not (0.0 <= amplitude <= 1.0):
             raise ScenarioError(f"modulation.amplitude must lie in [0, 1], got {amplitude!r}")
-    if scheme == "mask" and (amplitude is not None or equal_power):
+    if scheme == "mask" and amplitude is not None:
         raise ScenarioError("modulation.amplitude applies only to the mpsk scheme")
-    bp_raw = mo.get("base_phase", "optimal")
-    optimal_phase = bp_raw == "optimal"
-    base_phase: float | None = None
-    if not optimal_phase:
-        if not isinstance(bp_raw, (int, float)):
+    base_phase = mo.get("base_phase", "optimal")
+    if base_phase == "optimal":
+        base_phase = None
+    else:
+        if not isinstance(base_phase, (int, float)):
             raise ScenarioError(f"modulation.base_phase must be a number or 'optimal', "
-                                f"got {bp_raw!r}")
-        base_phase = float(bp_raw)
+                                f"got {base_phase!r}")
+        base_phase = float(base_phase)
         limit = TWO_PI if scheme == "mask" else TWO_PI / order
         if not (0.0 <= base_phase < limit):
             raise ScenarioError(f"modulation.base_phase {base_phase!r} outside [0, {limit:g}) "
@@ -285,7 +267,7 @@ def parse_scenario(raw: dict) -> Scenario:
     sweep = None
     if "sweep" in raw and raw["sweep"] is not None:
         sw = raw["sweep"]
-        _reject_unknown(sw, {"variable", "lo", "hi", "steps"}, "sweep")
+        _reject_unknown(sw, {f.name for f in fields(SweepSpec)}, "sweep")
         try:
             sweep = SweepSpec(
                 variable=sw["variable"],
@@ -309,9 +291,7 @@ def parse_scenario(raw: dict) -> Scenario:
         scheme=scheme,
         order=order,
         amplitude=amplitude,
-        equal_power=equal_power,
         base_phase=base_phase,
-        optimal_phase=optimal_phase,
         min_bd_rate_bits=float(min_bd),
         sweep=sweep,
         seed=seed,
@@ -362,51 +342,31 @@ def load_scenario(path: str | Path | None, overrides: list[str] | None = None) -
     return parse_scenario(raw)
 
 
+def _pair(z: complex) -> list[float]:
+    return [z.real, z.imag]
+
+
 def scenario_to_dict(scn: Scenario) -> dict:
     """Canonical raw form: linear units, explicit optional fields."""
     out: dict = {
-        "pathloss": {
-            "wavelength_m": scn.pathloss.wavelength_m,
-            "gain_pt": scn.pathloss.gain_pt,
-            "gain_rx": scn.pathloss.gain_rx,
-            "gain_bd": scn.pathloss.gain_bd,
-            "exponent": scn.pathloss.exponent,
-            "d1_m": scn.pathloss.d1_m,
-            "d2_m": scn.pathloss.d2_m,
-            "d3_m": scn.pathloss.d3_m,
-        },
-        "fading": {
-            "l1": [scn.l1.real, scn.l1.imag],
-            "l2": [scn.l2.real, scn.l2.imag],
-            "l3": [scn.l3.real, scn.l3.imag],
-        },
-        "system": {
-            "power_w": scn.system.power_w,
-            "noise_w": scn.system.noise_w,
-            "spread": scn.system.spread,
-        },
+        "pathloss": asdict(scn.pathloss),
+        "fading": {k: _pair(getattr(scn, k)) for k in _LINKS},
+        "system": asdict(scn.system),
         "modulation": {
             "scheme": scn.scheme,
             "order": scn.order,
-            "base_phase": "optimal" if scn.optimal_phase else scn.base_phase,
+            "base_phase": "optimal" if scn.base_phase is None else scn.base_phase,
             "min_bd_rate_bits": scn.min_bd_rate_bits,
         },
         "seed": scn.seed,
     }
     if scn.l1_prime is not None:
-        out["fading"]["l1_prime"] = [scn.l1_prime.real, scn.l1_prime.imag]
-        out["fading"]["l2_prime"] = [scn.l2_prime.real, scn.l2_prime.imag]
-        out["fading"]["l3_prime"] = [scn.l3_prime.real, scn.l3_prime.imag]
+        out["fading"].update({k: _pair(getattr(scn, k)) for k in _PRIMED})
     out["fading"]["use_prime"] = scn.use_prime
     if scn.scheme == "mpsk":
-        out["modulation"]["amplitude"] = "equal-power" if scn.equal_power else scn.amplitude
+        out["modulation"]["amplitude"] = scn.amplitude
     if scn.sweep is not None:
-        sw: dict = {"variable": scn.sweep.variable, "steps": scn.sweep.steps}
-        if scn.sweep.lo is not None:
-            sw["lo"] = scn.sweep.lo
-        if scn.sweep.hi is not None:
-            sw["hi"] = scn.sweep.hi
-        out["sweep"] = sw
+        out["sweep"] = {k: v for k, v in asdict(scn.sweep).items() if v is not None}
     return out
 
 

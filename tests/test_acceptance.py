@@ -16,10 +16,9 @@ from sbcrate.channel import ChannelTriple, SystemParams
 from sbcrate.cli import main as cli_main
 from sbcrate.constellation import mask_constellation, mpsk_constellation
 from sbcrate.link_sim import RngSpec, empirical_bd_mi, sic_mrc_receiver, simulate_block
-from sbcrate.phase_opt import (grid_search_phase, mask_objective, mpsk_objective,
-                               optimal_phase_ask, optimal_phase_psk)
-from sbcrate.pt_rate import (pt_rate_ask_infinite, pt_rate_finite, pt_rate_no_bd,
-                             pt_rate_psk_infinite)
+from sbcrate.phase_opt import grid_search_phase, optimal_phase_ask, optimal_phase_psk
+from sbcrate.pt_rate import (mask_rate_curve, mpsk_rate_curve, pt_rate_ask_infinite,
+                             pt_rate_finite, pt_rate_no_bd, pt_rate_psk_infinite)
 
 from .conftest import channel_from_polar
 
@@ -95,7 +94,7 @@ def test_criterion_03_mask_optimal_phase_vs_grid():
         ch = random_channel(rng)
         closed = optimal_phase_ask(ch.theta0).phase_rad
         for m in (2, 4, 8, 16):
-            obj = mask_objective(SECTION_V_SYS, ch, m)
+            obj = lambda p: mask_rate_curve(SECTION_V_SYS, ch, m, p)
             grid_phi, grid_val = grid_search_phase(obj, 0.0, TWO_PI, grid_points)
             worst_dist = max(worst_dist, circular_distance(closed, grid_phi, TWO_PI))
             closed_val = float(obj(np.array([closed]))[0])
@@ -124,7 +123,7 @@ def test_criterion_04_psk_optimal_phase_vs_grid_including_odd_orders():
         for m in (2, 4, 8, 16):
             period = TWO_PI / m
             closed = optimal_phase_psk(ch.theta0, m).phase_rad
-            obj = mpsk_objective(SECTION_V_SYS, ch, m, alpha0)
+            obj = lambda p: mpsk_rate_curve(SECTION_V_SYS, ch, m, alpha0, p)
             grid = np.linspace(0.0, period, grid_points, endpoint=False)
             vals = obj(grid)
             grid_phi = float(grid[int(np.argmax(vals))])
@@ -139,7 +138,7 @@ def test_criterion_04_psk_optimal_phase_vs_grid_including_odd_orders():
             for m in (3, 5, 6):
                 period = TWO_PI / m
                 closed = optimal_phase_psk(ch.theta0, m).phase_rad
-                obj = mpsk_objective(SECTION_V_SYS, ch, m, alpha0)
+                obj = lambda p: mpsk_rate_curve(SECTION_V_SYS, ch, m, alpha0, p)
                 grid_phi, _ = grid_search_phase(obj, 0.0, period, grid_points)
                 vals = obj(np.linspace(0.0, period, grid_points, endpoint=False))
                 if float(vals.max() - vals.min()) < resolvable_floor:

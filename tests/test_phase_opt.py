@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from sbcrate.channel import SystemParams
 from sbcrate.phase_opt import (PhaseOptProblem, check_feasibility, grid_search_phase,
-                               mask_objective, mpsk_objective, optimal_phase_ask,
-                               optimal_phase_psk, solve_phase_problem)
-from sbcrate.pt_rate import pt_rate_finite
+                               optimal_phase_ask, optimal_phase_psk, solve_phase_problem)
+from sbcrate.pt_rate import mask_rate_curve, max_pt_rate_psk, mpsk_rate_curve, pt_rate_finite
 from sbcrate.constellation import mask_constellation, mpsk_constellation
 from sbcrate.bd_rate import bd_rate
 
@@ -44,7 +43,7 @@ class TestOptimalPhaseAsk:
         # One phase maximizes the rate for every order simultaneously.
         phi = optimal_phase_ask(default_channel.theta0).phase_rad
         for m in (2, 4, 8, 16):
-            obj = mask_objective(default_system, default_channel, m)
+            obj = lambda p: mask_rate_curve(default_system, default_channel, m, p)
             grid_phi, grid_val = grid_search_phase(obj, 0.0, TWO_PI, 10_000)
             assert circular_distance(phi, grid_phi, TWO_PI) <= TWO_PI / 10_000
             assert float(obj(np.array([phi]))[0]) >= grid_val - 1e-10
@@ -86,11 +85,35 @@ class TestOptimalPhasePsk:
     def test_matches_grid_search(self, default_system, default_channel):
         for m in (2, 4, 8, 16):
             sol = optimal_phase_psk(default_channel.theta0, m)
-            obj = mpsk_objective(default_system, default_channel, m, 0.9)
+            obj = lambda p: mpsk_rate_curve(default_system, default_channel, m, 0.9, p)
             period = TWO_PI / m
             grid_phi, grid_val = grid_search_phase(obj, 0.0, period, 10_000)
             assert circular_distance(sol.phase_rad, grid_phi, period) <= period / 10_000
             assert float(obj(np.array([sol.phase_rad]))[0]) >= grid_val - 1e-10
+
+    def test_parity_rule_matches_grid_argmax_for_orders_3_to_16(self):
+        # Odd orders peak with one symbol aligned to the channel phase, even
+        # orders with the fan straddling it.  Where the curve is too flat for
+        # the grid to resolve, only the value condition is checked.
+        rng = np.random.default_rng(31)
+        sys = SystemParams(power_w=0.05, noise_w=1e-13, spread=1)
+        grid_points = 10_000
+        for _ in range(10):
+            ch = channel_from_polar(*10 ** rng.uniform(-6, -3, size=3),
+                                    *rng.uniform(0, TWO_PI, size=3))
+            alpha0 = float(rng.uniform(0.3, 1.0))
+            for m in range(3, 17):
+                period = TWO_PI / m
+                grid = np.linspace(0.0, period, grid_points, endpoint=False)
+                vals = mpsk_rate_curve(sys, ch, m, alpha0, grid)
+                closed = optimal_phase_psk(ch.theta0, m).phase_rad
+                best = max_pt_rate_psk(sys, ch, m, alpha0)
+                assert best >= vals.max() - 1e-10
+                assert best == pytest.approx(
+                    float(mpsk_rate_curve(sys, ch, m, alpha0, [closed])[0]), abs=1e-12)
+                if vals.max() - vals.min() >= 1e-7:
+                    grid_phi = float(grid[int(np.argmax(vals))])
+                    assert circular_distance(closed, grid_phi, period) <= period / grid_points
 
     def test_varies_with_order(self):
         theta0 = 1.3
@@ -109,7 +132,7 @@ class TestGridSearch:
         phase, _ = grid_search_phase(lambda x: np.cos(x - 1.0), 0.0, TWO_PI, 100_000)
         assert abs(phase - 1.0) <= TWO_PI / 100_000
 
-    def test_scalar_objective_fallback(self):
+    def test_quadratic_objective(self):
         phase, value = grid_search_phase(lambda x: -(x - 2.0) ** 2, 0.0, 4.0, 4001)
         assert phase == pytest.approx(2.0, abs=4.0 / 4001)
         assert value == pytest.approx(0.0, abs=1e-6)
@@ -123,6 +146,8 @@ class TestGridSearch:
             grid_search_phase(np.cos, 0.0, 1.0, 2)
         with pytest.raises(ValueError):
             grid_search_phase(np.cos, 1.0, 1.0, 10)
+        with pytest.raises(ValueError):
+            grid_search_phase(lambda x: 1.0, 0.0, 1.0, 10)  # not one value per phase
 
     def test_consistent_with_closed_form_on_random_channel(self):
         rng = np.random.default_rng(17)
@@ -131,7 +156,7 @@ class TestGridSearch:
             ch = channel_from_polar(*10 ** rng.uniform(-6, -3, size=3),
                                     *rng.uniform(0, TWO_PI, size=3))
             m = int(rng.choice([2, 4, 8]))
-            obj = mask_objective(sys, ch, m)
+            obj = lambda p: mask_rate_curve(sys, ch, m, p)
             grid_phi, _ = grid_search_phase(obj, 0.0, TWO_PI, 10_000)
             closed = optimal_phase_ask(ch.theta0).phase_rad
             assert circular_distance(grid_phi, closed, TWO_PI) <= TWO_PI / 10_000

@@ -11,13 +11,30 @@ from sbcrate.phase_opt import optimal_phase_ask, optimal_phase_psk
 from sbcrate.pt_rate import (AskAsymptoticCoefficients, PskAsymptoticCoefficients,
                              mask_rate_curve, max_pt_rate_ask, max_pt_rate_psk,
                              mpsk_rate_curve, pt_rate_ask_infinite, pt_rate_finite,
-                             pt_rate_finite_expanded, pt_rate_no_bd, pt_rate_psk_infinite,
-                             rate_gain)
+                             pt_rate_no_bd, pt_rate_psk_infinite, rate_gain)
 
 from .conftest import channel_from_polar
 
 TWO_PI = 2.0 * math.pi
 UNIT_SYS = SystemParams(power_w=1.0, noise_w=1.0, spread=1)
+
+
+def pt_rate_finite_expanded(sys, ch, c):
+    """Independent oracle: the finite-order rate through the expanded cosine form.
+
+    Each term uses |h1|^2 + |h2 h3 Gamma_m|^2 + 2 |h1||h2||h3| alpha_m
+    cos(theta0 + phi_m).
+    """
+    rho = sys.snr_scale
+    a1, a23, theta0 = ch.a1, ch.a23, ch.theta0
+    acc = 0.0
+    for p in c.points:
+        am = abs(p)
+        phim = math.atan2(p.imag, p.real)
+        snr = rho * (a1**2 + (a23 * am) ** 2
+                     + 2.0 * a1 * a23 * am * math.cos(theta0 + phim))
+        acc += math.log1p(snr)
+    return acc / (c.order * math.log(2.0))
 
 
 def ask_infinite_quadrature(sys, ch, phi0):

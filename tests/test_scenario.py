@@ -20,7 +20,7 @@ class TestParsing:
         assert scn.system.noise_w == pytest.approx(1e-13)
         assert scn.system.power_w == 0.05
         assert scn.scheme == "mask" and scn.order == 2
-        assert scn.optimal_phase
+        assert scn.base_phase is None  # the closed-form optimum
 
     def test_default_scenario_fading_samples(self, default_parsed):
         assert default_parsed.l1 == 0.3421 - 0.4988j
@@ -71,7 +71,7 @@ class TestParsing:
             "modulation.scheme=mpsk", "modulation.amplitude=equal-power",
         ])
         scn = parse_scenario(raw)
-        assert scn.equal_power
+        assert scn.amplitude == "equal-power"
         assert scn.resolved_alpha0(2) == pytest.approx(math.sqrt(0.5))
         assert scn.resolved_alpha0(3) == pytest.approx(math.sqrt(5 / 12))
 
@@ -94,7 +94,7 @@ class TestOverrides:
             "system.spread=256",
         ])
         scn = parse_scenario(raw)
-        assert scn.order == 8 and scn.optimal_phase and scn.system.spread == 256
+        assert scn.order == 8 and scn.base_phase is None and scn.system.spread == 256
 
     def test_whole_section_replacement(self):
         raw = apply_overrides(DEFAULT_SCENARIO, [
@@ -137,6 +137,25 @@ class TestRoundTrip:
         assert h1 == scenario_hash(parse_scenario(DEFAULT_SCENARIO))
         other = parse_scenario(apply_overrides(DEFAULT_SCENARIO, ["modulation.order=4"]))
         assert scenario_hash(other) != h1
+
+    @pytest.mark.parametrize("overrides, digest", [
+        ([], "c00c3691acf0"),
+        (["modulation.base_phase=1.25"], "32063a3bb6ee"),
+        (["modulation.scheme=mpsk"], "5baa0be53e51"),
+        (["modulation.scheme=mpsk", "modulation.amplitude=null"], "5baa0be53e51"),
+        (["modulation.scheme=mpsk", "modulation.amplitude=equal-power"], "acc6afaf9392"),
+        (["modulation.scheme=mpsk", "modulation.amplitude=0"], "17687605297e"),
+        (["modulation.scheme=mpsk", "modulation.order=4", "modulation.amplitude=0.9",
+          "modulation.base_phase=0.3"], "9ac3813ee4b9"),
+        (["fading.use_prime=true"], "5dcb7669ac79"),
+        (['pathloss={"wavelength_m":0.3,"gain_pt":2,"gain_rx_db":3,"gain_bd":1.5,'
+          '"exponent":3,"d1_m":10,"d2_m":20,"d3_m":1}'], "b51760f19d14"),
+    ])
+    def test_hash_values_are_pinned(self, overrides, digest):
+        # Digests label every emitted artifact, so the canonical form must not
+        # drift; an mpsk scenario without an amplitude serialises it as null.
+        scn = parse_scenario(apply_overrides(DEFAULT_SCENARIO, overrides))
+        assert scenario_hash(scn) == digest
 
     def test_canonical_dict_reparses(self, default_parsed):
         assert parse_scenario(scenario_to_dict(default_parsed)) == default_parsed
