@@ -4,9 +4,9 @@ After interference cancellation and maximal ratio combining, one device
 symbol is observed as y = g * Gamma_m + w with w circularly symmetric
 complex Gaussian of variance sigma_s^2, and the coupling g = sigma_s^2 =
 L P |h2|^2 |h3|^2 / sigma^2.  The device rate is the mutual information of
-the equiprobable discrete input against that observation, evaluated by a
-deterministic tensor-product Gauss-Hermite rule with a Monte Carlo twin as
-an independent oracle.
+the equiprobable discrete input against that observation: one log-ratio
+kernel averaged over the noise nodes of a tensor-product Gauss-Hermite rule,
+or over sampled observations by Monte Carlo and the link simulator.
 """
 
 from __future__ import annotations
@@ -76,55 +76,39 @@ class MiEstimate:
     method: str
 
 
-def _log_ratio_bits(y: np.ndarray, conditioned: np.ndarray, points: np.ndarray,
+def _log_ratio_bits(y: np.ndarray, conditioned: int | np.ndarray, points: np.ndarray,
                     gain: float, noise_var: float) -> np.ndarray:
     """Per-observation log2[p(y | Gamma_m) / p(y)] for observations y.
 
-    `conditioned` holds the transmitted symbol index of each observation.
-    Differences of the Gaussian exponents are taken against the transmitted
-    symbol and reduced with max-subtraction, so gains up to ~1e8 stay inside
-    the exponential range.  The |y|^2 term cancels in the difference and is
-    never formed.
+    `conditioned` is the transmitted symbol index, one for all observations
+    or one per observation.  Differences of the Gaussian exponents are taken
+    against the transmitted symbol and reduced with max-subtraction, so gains
+    up to ~1e8 stay inside the exponential range.  The |y|^2 term cancels in
+    the difference and is never formed.
     """
-    n = y.shape[0]
     if gain == 0.0:
-        return np.zeros(n)
+        return np.zeros(y.shape[0])
     scaled = gain * points
     # u[i, n] = (2 Re(y conj(g G_i)) - |g G_i|^2) / nv; the log ratio needs
-    # only u_i - u_m.
+    # only u_i - u_m, with u_m in the same arithmetic so that u_m - u_m == 0.
     u = (2.0 * (np.outer(scaled.real, y.real) + np.outer(scaled.imag, y.imag))
          - (np.abs(scaled) ** 2)[:, None]) / noise_var
-    u -= u[conditioned, np.arange(n)][None, :]
+    sc = scaled[conditioned]
+    u -= (2.0 * (sc.real * y.real + sc.imag * y.imag) - np.abs(sc) ** 2) / noise_var
     umax = np.maximum(u.max(axis=0), 0.0)
-    lse = umax / _LN2 + np.log2(np.exp(u - umax).sum(axis=0))
+    u -= umax
+    np.exp(u, out=u)
+    lse = umax / _LN2 + np.log2(u.sum(axis=0))
     return math.log2(len(points)) - lse
 
 
 @lru_cache(maxsize=16)
 def _hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit noise nodes x_i + j x_k and weights w_i w_k / pi of the tensor rule, flattened."""
     if nodes > 400:
         raise ValueError(f"Hermite rule weights overflow above ~400 nodes, got {nodes}")
     x, w = hermgauss(nodes)
-    return x, w
-
-
-def _mi_gh_nodes(points: np.ndarray, gain: float, noise_var: float, nodes: int) -> float:
-    """Tensor Gauss-Hermite evaluation of the mutual information, in bits."""
-    M = len(points)
-    x, wq = _hermite_rule(nodes)
-    sig = math.sqrt(noise_var)
-    w_nodes = sig * (x[:, None] + 1j * x[None, :])   # noise realizations
-    w2 = (wq[:, None] * wq[None, :]) / math.pi       # normalized weights
-    diff = points[:, None] - points[None, :]
-    acc = 0.0
-    for m in range(M):
-        dm = gain * diff[m]
-        t = -(np.abs(dm)[:, None, None] ** 2
-              + 2.0 * np.real(dm[:, None, None] * np.conj(w_nodes)[None, :, :])) / noise_var
-        tmax = np.maximum(t.max(axis=0), 0.0)
-        lse = tmax / _LN2 + np.log2(np.exp(t - tmax).sum(axis=0))
-        acc += float((w2 * lse).sum())
-    return math.log2(M) - acc / M
+    return (x[:, None] + 1j * x[None, :]).ravel(), np.outer(w, w).ravel() / math.pi
 
 
 def mi_quadrature(c: Constellation, stats: MrcStatistics, tol: float = DEFAULT_MI_TOL,
@@ -143,9 +127,19 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics, tol: float = DEFAULT_M
         raise ValueError(f"noise_var must be > 0, got {stats.noise_var!r}")
     if len(node_schedule) < 2:
         raise ValueError("node_schedule needs at least two levels to assess convergence")
-    prev = _mi_gh_nodes(points, stats.gain, stats.noise_var, node_schedule[0])
+
+    def level(nodes: int) -> float:
+        # (w * v).sum(), not w @ v: the product weights reach the subnormal
+        # range, where the BLAS dot slows down by orders of magnitude.
+        z, weights = _hermite_rule(nodes)
+        noise = math.sqrt(stats.noise_var) * z
+        return sum(float((weights * _log_ratio_bits(stats.gain * points[m] + noise, m, points,
+                                                    stats.gain, stats.noise_var)).sum())
+                   for m in range(len(points))) / len(points)
+
+    prev = level(node_schedule[0])
     for nodes in node_schedule[1:]:
-        cur = _mi_gh_nodes(points, stats.gain, stats.noise_var, nodes)
+        cur = level(nodes)
         if abs(cur - prev) <= tol:
             return MiEstimate(value_bits=cur, std_error_bits=0.0, method="quadrature")
         prev = cur

@@ -17,6 +17,12 @@ from dataclasses import dataclass
 TWO_PI = 2.0 * math.pi
 
 
+def _wrap_phase(x: float, period: float) -> float:
+    """x reduced to [0, period); `%` alone rounds e.g. -1e-17 % 2pi up to 2pi."""
+    x %= period
+    return x - period if x >= period else x
+
+
 def _require_finite(name: str, z: complex) -> None:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"{name} must have finite real and imaginary parts, got {z!r}")
@@ -112,11 +118,7 @@ def composite_phase(ch: ChannelTriple) -> float:
     if ch.a1 == 0.0 or ch.a2 == 0.0 or ch.a3 == 0.0:
         raise ValueError("degenerate channel: all of |h1|, |h2|, |h3| must be nonzero "
                          "for the composite phase to be defined")
-    t = cmath.phase(ch.h2) + cmath.phase(ch.h3) - cmath.phase(ch.h1)
-    t %= TWO_PI
-    if t >= TWO_PI:  # guard e.g. t = -1e-17 % 2pi rounding up
-        t -= TWO_PI
-    return t
+    return _wrap_phase(cmath.phase(ch.h2) + cmath.phase(ch.h3) - cmath.phase(ch.h1), TWO_PI)
 
 
 def channel_from_path_loss(model: PathLossModel, l1: complex, l2: complex,

@@ -83,10 +83,14 @@ class Constellation:
         return explicit_constellation([p * rot for p in self.points])
 
 
-def mask_constellation(M: int, phi0: float) -> Constellation:
-    """Amplitude-keyed set (m-1)/(M-1) * e^{j phi0}, m = 1..M."""
+def _check_order(M: int) -> None:
     if not (isinstance(M, int) and M >= 2):
         raise ValueError(f"modulation order must be an integer >= 2, got {M!r}")
+
+
+def mask_constellation(M: int, phi0: float) -> Constellation:
+    """Amplitude-keyed set (m-1)/(M-1) * e^{j phi0}, m = 1..M."""
+    _check_order(M)
     rot = cmath.exp(1j * phi0)
     pts = tuple((m / (M - 1)) * rot for m in range(M))
     return Constellation(points=pts, kind="mask", order=M, base_phase=float(phi0))
@@ -98,8 +102,7 @@ def mpsk_constellation(M: int, alpha0: float, phi0: float) -> Constellation:
     The base phase is range-checked rather than wrapped; callers that want a
     wrapped phase go through the optimizer, which reports the wrap index.
     """
-    if not (isinstance(M, int) and M >= 2):
-        raise ValueError(f"modulation order must be an integer >= 2, got {M!r}")
+    _check_order(M)
     if not (0.0 < alpha0 <= 1.0):
         raise ValueError(f"ring amplitude alpha0 must lie in (0, 1], got {alpha0!r}")
     if not (0.0 <= phi0 < TWO_PI / M):
@@ -124,7 +127,6 @@ def equal_power_psk_amplitude(M: int) -> float:
 
     sqrt((1/M) sum ((m-1)/(M-1))^2), clamped to the passive limit of 1.
     """
-    if not (isinstance(M, int) and M >= 2):
-        raise ValueError(f"modulation order must be an integer >= 2, got {M!r}")
+    _check_order(M)
     mean_sq = math.fsum((m / (M - 1)) ** 2 for m in range(M)) / M
     return min(math.sqrt(mean_sq), 1.0)

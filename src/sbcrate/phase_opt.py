@@ -18,8 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .bd_rate import bd_rate
-from .channel import TWO_PI, ChannelTriple, SystemParams
-from .constellation import equal_power_psk_amplitude, mask_constellation, mpsk_constellation
+from .channel import TWO_PI, ChannelTriple, SystemParams, _wrap_phase
+from .constellation import (_check_order, equal_power_psk_amplitude, mask_constellation,
+                            mpsk_constellation)
 from .pt_rate import psk_optimal_offset, pt_rate_finite
 
 
@@ -35,8 +36,7 @@ class PhaseOptProblem:
     def __post_init__(self) -> None:
         if self.scheme not in ("mask", "mpsk"):
             raise ValueError(f"scheme must be 'mask' or 'mpsk', got {self.scheme!r}")
-        if not (isinstance(self.order, int) and self.order >= 2):
-            raise ValueError(f"order must be an integer >= 2, got {self.order!r}")
+        _check_order(self.order)
         if self.scheme == "mpsk" and self.alpha0 is None:
             raise ValueError("mpsk problems need a ring amplitude alpha0")
         if self.min_bd_rate_bits < 0.0:
@@ -65,9 +65,7 @@ def optimal_phase_ask(theta0: float) -> PhaseSolution:
     cos(theta0 + phi0) = 1; the wrap index is the integer lambda with
     phi0 = 2 lambda pi - theta0.  Independent of the modulation order.
     """
-    phase = (-theta0) % TWO_PI
-    if phase >= TWO_PI:
-        phase -= TWO_PI
+    phase = _wrap_phase(-theta0, TWO_PI)
     lam = round((phase + theta0) / TWO_PI)
     return PhaseSolution(phase_rad=phase, wrap_index=int(lam))
 
@@ -81,9 +79,7 @@ def optimal_phase_psk(theta0: float, M: int) -> PhaseSolution:
     """
     offset = psk_optimal_offset(M)
     period = TWO_PI / M
-    phase = (offset - theta0) % period
-    if phase >= period:
-        phase -= period
+    phase = _wrap_phase(offset - theta0, period)
     eta = round((phase + theta0 - offset) / period)
     return PhaseSolution(phase_rad=phase, wrap_index=int(eta))
 

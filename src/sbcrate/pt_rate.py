@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import TWO_PI, ChannelTriple, SystemParams
-from .constellation import Constellation
+from .constellation import Constellation, _check_order
 
 _LN2 = math.log(2.0)
 
@@ -177,11 +177,6 @@ def pt_rate_psk_infinite(sys: SystemParams, ch: ChannelTriple, alpha0: float) ->
 # ---------------------------------------------------------------------------
 # Optimal-phase maxima and vectorized phase curves
 # ---------------------------------------------------------------------------
-
-def _check_order(M: int) -> None:
-    if not (isinstance(M, int) and M >= 2):
-        raise ValueError(f"modulation order must be an integer >= 2, got {M!r}")
-
 
 def psk_optimal_offset(M: int) -> float:
     """Relative phase theta0 + phi0 maximizing the order-M phase-keyed rate.

@@ -156,16 +156,24 @@ def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
             raise ScenarioError(f"unknown key '{where}.{key}'")
 
 
+def _number(section: dict, key: str, where: str) -> float:
+    """section[key] as a float; a missing key raises KeyError for the caller to name."""
+    value = section[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where}.{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _pick_linear(section: dict, name: str, log_name: str, to_linear, where: str) -> float:
     """The linear value of `name`, or of its logarithmic alternative `log_name`."""
     lin, log = section.get(name), section.get(log_name)
     if lin is not None and log is not None:
         raise ScenarioError(f"{where}.{name} and {where}.{log_name} are mutually exclusive")
     if log is not None:
-        return to_linear(float(log))
+        return to_linear(_number(section, log_name, where))
     if lin is None:
         raise ScenarioError(f"missing key {where}.{name} (or {where}.{log_name})")
-    return float(lin)
+    return _number(section, name, where)
 
 
 def _parse_complex(value, where: str) -> complex:
@@ -191,7 +199,7 @@ def parse_scenario(raw: dict) -> Scenario:
     try:
         model = PathLossModel(**{
             k: (_pick_linear(pl, k, f"{k}_db", db_to_linear, "pathloss") if k in gains
-                else float(pl[k]))
+                else _number(pl, k, "pathloss"))
             for k in _PATHLOSS_KEYS})
     except KeyError as exc:
         raise ScenarioError(f"missing key 'pathloss.{exc.args[0]}'") from None
@@ -222,7 +230,8 @@ def parse_scenario(raw: dict) -> Scenario:
         spread = sy.get("spread", 128)
         if not isinstance(spread, int) or isinstance(spread, bool):
             raise ScenarioError(f"system.spread must be an integer, got {spread!r}")
-        system = SystemParams(power_w=float(sy["power_w"]), noise_w=noise_w, spread=spread)
+        system = SystemParams(power_w=_number(sy, "power_w", "system"), noise_w=noise_w,
+                              spread=spread)
     except KeyError as exc:
         raise ScenarioError(f"missing key 'system.{exc.args[0]}'") from None
     except ValueError as exc:
@@ -272,8 +281,8 @@ def parse_scenario(raw: dict) -> Scenario:
             sweep = SweepSpec(
                 variable=sw["variable"],
                 steps=sw["steps"],
-                lo=(float(sw["lo"]) if "lo" in sw else None),
-                hi=(float(sw["hi"]) if "hi" in sw else None),
+                lo=(_number(sw, "lo", "sweep") if "lo" in sw else None),
+                hi=(_number(sw, "hi", "sweep") if "hi" in sw else None),
             )
         except KeyError as exc:
             raise ScenarioError(f"missing key 'sweep.{exc.args[0]}'") from None

@@ -4,14 +4,39 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite import hermgauss
 
-from sbcrate.bd_rate import (MrcStatistics, PrecisionError, bd_rate, mi_monte_carlo,
-                             mi_quadrature, mrc_statistics)
+from sbcrate.bd_rate import (DEFAULT_MI_TOL, MrcStatistics, PrecisionError, bd_rate,
+                             mi_monte_carlo, mi_quadrature, mrc_statistics)
 from sbcrate.channel import SystemParams
 from sbcrate.constellation import (explicit_constellation, mask_constellation,
                                    mpsk_constellation)
 
 from .conftest import channel_from_polar
+
+
+def tensor_mi_oracle(points, gain: float, noise_var: float, nodes: int) -> float:
+    """Mutual information on one tensor Gauss-Hermite level, in the difference form.
+
+    Independent of the engine's log-ratio kernel: the exponent differences are
+    -(|g d|^2 + 2 Re(g d conj w)) / sigma_s^2 with d = Gamma_m - Gamma_i and w
+    the noise node, so no O(g) terms are formed and subtracted.
+    """
+    points = np.asarray(points, dtype=complex)
+    M = len(points)
+    x, wq = hermgauss(nodes)
+    w_nodes = math.sqrt(noise_var) * (x[:, None] + 1j * x[None, :])
+    w2 = (wq[:, None] * wq[None, :]) / math.pi
+    diff = points[:, None] - points[None, :]
+    acc = 0.0
+    for m in range(M):
+        dm = gain * diff[m]
+        t = -(np.abs(dm)[:, None, None] ** 2
+              + 2.0 * np.real(dm[:, None, None] * np.conj(w_nodes)[None, :, :])) / noise_var
+        tmax = np.maximum(t.max(axis=0), 0.0)
+        lse = tmax / math.log(2.0) + np.log2(np.exp(t - tmax).sum(axis=0))
+        acc += float((w2 * lse).sum())
+    return math.log2(M) - acc / M
 
 
 class TestMrcStatistics:
@@ -86,6 +111,31 @@ class TestMiQuadrature:
         pts = rng.uniform(-0.7, 0.7, size=n_points) + 1j * rng.uniform(-0.7, 0.7, n_points)
         est = mi_quadrature(explicit_constellation(pts), MrcStatistics(g, g))
         assert -1e-9 <= est.value_bits <= math.log2(n_points) + 1e-9
+
+    @pytest.mark.parametrize("nodes", [64, 96])
+    def test_matches_tensor_difference_oracle(self, nodes):
+        cases = [(c, MrcStatistics(g, g))
+                 for M in (2, 3, 4, 8, 16)
+                 for c in (mask_constellation(M, 0.7), mpsk_constellation(M, 0.9, 0.1))
+                 for g in (0.1, 1.0, 30.0, 3000.0)]
+        cases.append((explicit_constellation([0.9, 0.5j, -0.3 - 0.4j]), MrcStatistics(7.0, 7.0)))
+        cases.append((mpsk_constellation(4, 0.8, 0.3), MrcStatistics(12.0, 3.0)))  # gain != noise
+        for c, stats in cases:
+            est = mi_quadrature(c, stats, node_schedule=(nodes, nodes))
+            ref = tensor_mi_oracle(c.points, stats.gain, stats.noise_var, nodes)
+            assert abs(est.value_bits - ref) <= 1e-12, (c.kind, c.order, stats)
+
+    @given(scheme=st.sampled_from(["mask", "mpsk"]), M=st.sampled_from([2, 4, 8, 16]),
+           log_g=st.lists(st.floats(-6.0, 8.0), min_size=2, max_size=2))
+    @settings(max_examples=20, deadline=None)
+    def test_bounded_and_monotone_at_extreme_gains(self, scheme, M, log_g):
+        # Gains from 1e-6 to 1e8, where the kernel subtracts O(g) terms.
+        c = mask_constellation(M, 0.0) if scheme == "mask" else mpsk_constellation(M, 0.9, 0.0)
+        lo, hi = (mi_quadrature(c, MrcStatistics(10.0**e, 10.0**e)).value_bits
+                  for e in sorted(log_g))
+        for v in (lo, hi):
+            assert -1e-9 <= v <= math.log2(M) + 1e-9
+        assert hi >= lo - 2 * DEFAULT_MI_TOL
 
     def test_precision_error_carries_estimate(self):
         c = mpsk_constellation(4, 0.9, 0.1)

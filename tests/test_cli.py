@@ -68,12 +68,19 @@ class TestRateCommand:
         code, text = run_cli(tmp_path, "rate", "--scenario", str(scn))
         assert code == 0
 
-    def test_malformed_scenario_names_key_and_exits_2(self, tmp_path, capsys):
-        scn = write_scenario_file(tmp_path, ["system.turbo=9"])
+    @pytest.mark.parametrize("override", [
+        "system.turbo=9",
+        # A JSON null where a number belongs.
+        "pathloss.d1_m=null",
+        "system.power_w=null",
+        "sweep.lo=null",
+    ], ids=lambda o: o.partition("=")[0])
+    def test_malformed_scenario_names_key_and_exits_2(self, tmp_path, capsys, override):
+        scn = write_scenario_file(tmp_path, [override])
         code = main(["rate", "--scenario", str(scn)])
         captured = capsys.readouterr()
         assert code == 2
-        assert "system.turbo" in captured.err
+        assert override.partition("=")[0] in captured.err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["rate", "--scenario", str(tmp_path / "absent.json")])
