@@ -5,8 +5,13 @@ symbol is observed as y = g * Gamma_m + w with w circularly symmetric
 complex Gaussian of variance sigma_s^2, and the coupling g = sigma_s^2 =
 L P |h2|^2 |h3|^2 / sigma^2.  The device rate is the mutual information of
 the equiprobable discrete input against that observation: one log-ratio
-kernel averaged over the noise nodes of a tensor-product Gauss-Hermite rule,
-or over sampled observations by Monte Carlo and the link simulator.
+kernel averaged over Gauss-Hermite noise nodes, or over sampled observations
+by Monte Carlo and the link simulator.
+
+The MI is unchanged by translating or rotating the point set, and the
+quadrature uses it: a collinear set (every amplitude-keyed set) needs only a
+1-D rule along its line, and a phase-keyed set, being M-fold rotation-
+symmetric, only the term conditioned on Gamma_0 of the tensor-product rule.
 """
 
 from __future__ import annotations
@@ -34,6 +39,14 @@ DEFAULT_MI_TOL = 1e-8
 #: Monte Carlo samples per substream; fixed so that results do not depend on
 #: how substreams are distributed over workers.
 _MC_CHUNK = 1 << 19
+
+#: Matrix entries (symbols x observations) per log-ratio kernel call in the
+#: quadrature, so a level's temporaries stay a few MB at any node count.
+_QUAD_BLOCK = 1 << 18
+
+#: Largest |Im| of the canonical points, relative to the farthest point, that
+#: still counts as rounding on a collinear set.
+_COLLINEAR_TOL = 1e-12
 
 
 class PrecisionError(RuntimeError):
@@ -102,18 +115,41 @@ def _log_ratio_bits(y: np.ndarray, conditioned: int | np.ndarray, points: np.nda
     return math.log2(len(points)) - lse
 
 
-@lru_cache(maxsize=16)
-def _hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit noise nodes x_i + j x_k and weights w_i w_k / pi of the tensor rule, flattened."""
+@lru_cache(maxsize=8)
+def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Gauss-Hermite nodes and weights, computed once per node count for both rules."""
     if nodes > 400:
         raise ValueError(f"Hermite rule weights overflow above ~400 nodes, got {nodes}")
-    x, w = hermgauss(nodes)
+    return hermgauss(nodes)
+
+
+@lru_cache(maxsize=16)
+def _hermite_rule(nodes: int, dims: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit noise nodes and weights of the 1-D rule or of the flattened 2-D tensor rule.
+
+    1-D: nodes x_i, weights w_i / sqrt(pi).  2-D: nodes x_i + j x_k, weights
+    w_i w_k / pi.  Either way a node's real part is one noise component of
+    variance 1/2.
+    """
+    x, w = _hermgauss(nodes)
+    if dims == 1:
+        return x, w / math.sqrt(math.pi)
     return (x[:, None] + 1j * x[None, :]).ravel(), np.outer(w, w).ravel() / math.pi
 
 
 def mi_quadrature(c: Constellation, stats: MrcStatistics, tol: float = DEFAULT_MI_TOL,
                   node_schedule: tuple[int, ...] = DEFAULT_NODE_SCHEDULE) -> MiEstimate:
     """Deterministic mutual information of the constellation through the combiner.
+
+    The MI is unchanged by translating or rotating the point set, so the set
+    is first put in a canonical form: Gamma_0 at the origin and the farthest
+    point on the positive real axis.  If the canonical points are real to
+    rounding (every `mask` set, any two points, any collinear set), the noise
+    orthogonal to the line carries no information and a 1-D Gauss-Hermite
+    rule of n nodes replaces the n^2 tensor rule.  An `mpsk` set is
+    M-fold rotation-symmetric, so only the Gamma_0-conditioned term of the
+    tensor rule is evaluated.  Other sets average all M conditioned terms
+    over the tensor rule.
 
     Refines the node count along `node_schedule` until two consecutive
     estimates differ by at most `tol` bits; raises :class:`PrecisionError`
@@ -128,14 +164,32 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics, tol: float = DEFAULT_M
     if len(node_schedule) < 2:
         raise ValueError("node_schedule needs at least two levels to assess convergence")
 
+    shifted = points - points[0]
+    far = shifted[np.argmax(np.abs(shifted))]
+    canonical = shifted * (abs(far) / far)
+    terms = np.arange(len(points))
+    if np.all(np.abs(canonical.imag) <= _COLLINEAR_TOL * abs(far)):
+        points, dims = canonical.real, 1
+    else:
+        dims = 2
+        if c.kind == "mpsk":
+            terms = terms[:1]
+    block = max(_QUAD_BLOCK // len(points), 1)
+
     def level(nodes: int) -> float:
-        # (w * v).sum(), not w @ v: the product weights reach the subnormal
-        # range, where the BLAS dot slows down by orders of magnitude.
-        z, weights = _hermite_rule(nodes)
+        z, weights = _hermite_rule(nodes, dims)
         noise = math.sqrt(stats.noise_var) * z
-        return sum(float((weights * _log_ratio_bits(stats.gain * points[m] + noise, m, points,
-                                                    stats.gain, stats.noise_var)).sum())
-                   for m in range(len(points))) / len(points)
+        count = len(terms) * len(z)
+        total = 0.0
+        for start in range(0, count, block):
+            term, node = np.divmod(np.arange(start, min(start + block, count)), len(z))
+            m = terms[term]
+            v = _log_ratio_bits(stats.gain * points[m] + noise[node], m, points,
+                                stats.gain, stats.noise_var)
+            # (w * v).sum(), not w @ v: the product weights reach the subnormal
+            # range, where the BLAS dot slows down by orders of magnitude.
+            total += float((weights[node] * v).sum())
+        return total / len(terms)
 
     prev = level(node_schedule[0])
     for nodes in node_schedule[1:]:

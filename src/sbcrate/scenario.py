@@ -201,6 +201,8 @@ def parse_scenario(raw: dict) -> Scenario:
             k: (_pick_linear(pl, k, f"{k}_db", db_to_linear, "pathloss") if k in gains
                 else _number(pl, k, "pathloss"))
             for k in _PATHLOSS_KEYS})
+    except ScenarioError:
+        raise
     except KeyError as exc:
         raise ScenarioError(f"missing key 'pathloss.{exc.args[0]}'") from None
     except ValueError as exc:
@@ -232,6 +234,8 @@ def parse_scenario(raw: dict) -> Scenario:
             raise ScenarioError(f"system.spread must be an integer, got {spread!r}")
         system = SystemParams(power_w=_number(sy, "power_w", "system"), noise_w=noise_w,
                               spread=spread)
+    except ScenarioError:
+        raise
     except KeyError as exc:
         raise ScenarioError(f"missing key 'system.{exc.args[0]}'") from None
     except ValueError as exc:

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
+from scipy.integrate import quad
 
 from sbcrate.bd_rate import (DEFAULT_MI_TOL, MrcStatistics, PrecisionError, bd_rate,
                              mi_monte_carlo, mi_quadrature, mrc_statistics)
@@ -15,28 +17,83 @@ from sbcrate.constellation import (explicit_constellation, mask_constellation,
 from .conftest import channel_from_polar
 
 
-def tensor_mi_oracle(points, gain: float, noise_var: float, nodes: int) -> float:
+def tensor_mi_oracle(points, gain: float, noise_var: float, nodes: int,
+                     conditioned=None) -> float:
     """Mutual information on one tensor Gauss-Hermite level, in the difference form.
 
     Independent of the engine's log-ratio kernel: the exponent differences are
     -(|g d|^2 + 2 Re(g d conj w)) / sigma_s^2 with d = Gamma_m - Gamma_i and w
-    the noise node, so no O(g) terms are formed and subtracted.
+    the noise node, so no O(g) terms are formed and subtracted.  The mean runs
+    over the `conditioned` symbols m, all of them by default.
     """
     points = np.asarray(points, dtype=complex)
     M = len(points)
+    conditioned = range(M) if conditioned is None else conditioned
     x, wq = hermgauss(nodes)
     w_nodes = math.sqrt(noise_var) * (x[:, None] + 1j * x[None, :])
     w2 = (wq[:, None] * wq[None, :]) / math.pi
     diff = points[:, None] - points[None, :]
     acc = 0.0
-    for m in range(M):
+    for m in conditioned:
         dm = gain * diff[m]
         t = -(np.abs(dm)[:, None, None] ** 2
               + 2.0 * np.real(dm[:, None, None] * np.conj(w_nodes)[None, :, :])) / noise_var
         tmax = np.maximum(t.max(axis=0), 0.0)
         lse = tmax / math.log(2.0) + np.log2(np.exp(t - tmax).sum(axis=0))
         acc += float((w2 * lse).sum())
-    return math.log2(M) - acc / M
+    return math.log2(M) - acc / len(conditioned)
+
+
+def canonical_points(points) -> np.ndarray:
+    """The set translated by Gamma_0 and rotated so its farthest point lies on the positive real axis."""
+    shifted = np.asarray(points, dtype=complex) - points[0]
+    far = shifted[np.argmax(np.abs(shifted))]
+    return shifted * (abs(far) / far)
+
+
+def adaptive_mi_collinear(points, gain: float, noise_var: float) -> float:
+    """Mutual information of real points by adaptive integration, independent of Gauss rules.
+
+    Along the line, u = (g Gamma + n) / sigma_s has the mixture density
+    p(u) = (1/M) sum_i exp(-(u - d_i)^2) / sqrt(pi), d_i = g Gamma_i / sigma_s,
+    and I = h(U) - h(N) with h(N) = log2(pi e) / 2; the orthogonal noise
+    carries no information.
+    """
+    d = np.sort(gain * np.asarray(points, dtype=float) / math.sqrt(noise_var))
+    norm = math.log(len(d) * math.sqrt(math.pi))
+
+    def neg_p_log_p(u: float) -> float:
+        e = -(u - d) ** 2
+        log_p = e.max() + math.log(np.exp(e - e.max()).sum()) - norm
+        return -math.exp(log_p) * log_p
+
+    breaks = sorted({*d, *((d[1:] + d[:-1]) / 2)})
+    h, _ = quad(neg_p_log_p, d[0] - 12.0, d[-1] + 12.0, points=breaks, limit=2000,
+                epsabs=1e-13, epsrel=1e-13)
+    return (h - 0.5 * math.log(math.pi * math.e)) / math.log(2.0)
+
+
+@pytest.fixture
+def kernel_entries(monkeypatch):
+    """Log-ratio kernel matrix entries (symbols x observations), per quadrature level.
+
+    Each entry is [nodes, entries]; a level starts when the engine fetches its rule.
+    """
+    engine = importlib.import_module("sbcrate.bd_rate")
+    rule, kernel = engine._hermite_rule, engine._log_ratio_bits
+    levels = []
+
+    def counting_rule(nodes, dims):
+        levels.append([nodes, 0])
+        return rule(nodes, dims)
+
+    def counting_kernel(y, conditioned, points, gain, noise_var):
+        levels[-1][1] += len(points) * len(y)
+        return kernel(y, conditioned, points, gain, noise_var)
+
+    monkeypatch.setattr(engine, "_hermite_rule", counting_rule)
+    monkeypatch.setattr(engine, "_log_ratio_bits", counting_kernel)
+    return levels
 
 
 class TestMrcStatistics:
@@ -114,18 +171,83 @@ class TestMiQuadrature:
 
     @pytest.mark.parametrize("nodes", [64, 96])
     def test_matches_tensor_difference_oracle(self, nodes):
-        cases = [(c, MrcStatistics(g, g))
-                 for M in (2, 3, 4, 8, 16)
-                 for c in (mask_constellation(M, 0.7), mpsk_constellation(M, 0.9, 0.1))
-                 for g in (0.1, 1.0, 30.0, 3000.0)]
-        cases.append((explicit_constellation([0.9, 0.5j, -0.3 - 0.4j]), MrcStatistics(7.0, 7.0)))
-        cases.append((mpsk_constellation(4, 0.8, 0.3), MrcStatistics(12.0, 3.0)))  # gain != noise
-        for c, stats in cases:
+        # The oracle integrates what the engine integrates at one level: the
+        # canonical real-axis points of a collinear set (the tensor rule there
+        # equals the engine's 1-D rule), the Gamma_0 term of an mpsk set, and
+        # every conditioned term of other sets.
+        cases = []
+        for M in (2, 3, 4, 8, 16):
+            mask, mpsk = mask_constellation(M, 0.7), mpsk_constellation(M, 0.9, 0.1)
+            for g in (0.1, 1.0, 30.0, 3000.0):
+                cases.append((mask, MrcStatistics(g, g), canonical_points(mask.points).real, None))
+                if M == 2:  # two points are collinear
+                    cases.append((mpsk, MrcStatistics(g, g), canonical_points(mpsk.points).real,
+                                  None))
+                else:
+                    cases.append((mpsk, MrcStatistics(g, g), mpsk.points, (0,)))
+        c = explicit_constellation([0.9, 0.5j, -0.3 - 0.4j])
+        cases.append((c, MrcStatistics(7.0, 7.0), c.points, None))
+        c = mpsk_constellation(4, 0.8, 0.3)
+        cases.append((c, MrcStatistics(12.0, 3.0), c.points, None))  # gain != noise, all terms
+        for c, stats, points, conditioned in cases:
             est = mi_quadrature(c, stats, node_schedule=(nodes, nodes))
-            ref = tensor_mi_oracle(c.points, stats.gain, stats.noise_var, nodes)
+            ref = tensor_mi_oracle(points, stats.gain, stats.noise_var, nodes, conditioned)
             assert abs(est.value_bits - ref) <= 1e-12, (c.kind, c.order, stats)
 
-    @given(scheme=st.sampled_from(["mask", "mpsk"]), M=st.sampled_from([2, 4, 8, 16]),
+    def test_mask_matches_adaptive_integral(self):
+        # The phase is off every axis, where the tensor rule converged slowest.
+        for M in (2, 4, 8, 16):
+            line = [m / (M - 1) for m in range(M)]
+            for g in (0.1, 1.0, 30.0, 200.0, 3000.0):
+                est = mi_quadrature(mask_constellation(M, 0.37 * 2 * math.pi), MrcStatistics(g, g))
+                ref = adaptive_mi_collinear(line, g, g)
+                assert abs(est.value_bits - ref) <= 1e-9, (M, g)
+
+    @pytest.mark.parametrize("M", [3, 8, 16])
+    def test_mpsk_symmetry_matches_converged_full_oracle(self, M):
+        # Every conditioned term at a converged level, against the engine's one term.
+        c = mpsk_constellation(M, 0.9, 0.1)
+        for g in (1.0, 200.0):
+            ref = tensor_mi_oracle(c.points, g, g, 216)
+            assert abs(mi_quadrature(c, MrcStatistics(g, g)).value_bits - ref) \
+                <= 2 * DEFAULT_MI_TOL, (M, g)
+
+    @pytest.mark.parametrize("points, mask", [
+        # Two points are always collinear.
+        ([(-0.5 + 0.3j) * np.exp(0.4j), (0.5 + 0.3j) * np.exp(0.4j)],
+         mask_constellation(2, 0.4)),
+        # Three points on a line that misses the origin, Gamma_0 in the middle.
+        ([0.4j * np.exp(2.0j), (-0.5 + 0.4j) * np.exp(2.0j), (0.5 + 0.4j) * np.exp(2.0j)],
+         mask_constellation(3, 1.1)),
+    ], ids=["two_points", "offset_line"])
+    def test_collinear_explicit_set_takes_1d_rule(self, kernel_entries, points, mask):
+        M = len(points)
+        for g in (0.5, 40.0, 2000.0):
+            kernel_entries.clear()
+            est = mi_quadrature(explicit_constellation(points), MrcStatistics(g, g))
+            assert all(entries == M * M * nodes for nodes, entries in kernel_entries)
+            ref = mi_quadrature(mask, MrcStatistics(g, g))
+            assert abs(est.value_bits - ref.value_bits) <= 1e-12, g
+
+    def test_set_off_its_line_keeps_2d_rule(self, kernel_entries):
+        rot = np.exp(2.0j)
+        points = [0.4j * rot, (-0.5 + 0.4j) * rot, (0.5 + 0.401j) * rot]
+        mi_quadrature(explicit_constellation(points), MrcStatistics(40.0, 40.0))
+        assert kernel_entries
+        assert all(entries == 3 * 3 * nodes**2 for nodes, entries in kernel_entries)
+
+    @pytest.mark.parametrize("scheme", ["mask", "mpsk"])
+    def test_work_per_level_follows_structure(self, kernel_entries, scheme):
+        # Deterministic guard against a silent fall back to all M terms on the
+        # tensor rule: M^2 n entries on a line, M n^2 for the one mpsk term.
+        M = 16
+        c = mask_constellation(M, 0.3) if scheme == "mask" else mpsk_constellation(M, 0.9, 0.1)
+        mi_quadrature(c, MrcStatistics(200.0, 200.0))
+        assert len(kernel_entries) >= 2
+        for nodes, entries in kernel_entries:
+            assert entries <= (M * M * nodes if scheme == "mask" else M * nodes**2), nodes
+
+    @given(scheme=st.sampled_from(["mask", "mpsk"]), M=st.sampled_from([2, 4, 8, 16, 32, 64]),
            log_g=st.lists(st.floats(-6.0, 8.0), min_size=2, max_size=2))
     @settings(max_examples=20, deadline=None)
     def test_bounded_and_monotone_at_extreme_gains(self, scheme, M, log_g):

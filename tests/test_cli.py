@@ -68,19 +68,21 @@ class TestRateCommand:
         code, text = run_cli(tmp_path, "rate", "--scenario", str(scn))
         assert code == 0
 
-    @pytest.mark.parametrize("override", [
-        "system.turbo=9",
-        # A JSON null where a number belongs.
-        "pathloss.d1_m=null",
-        "system.power_w=null",
-        "sweep.lo=null",
-    ], ids=lambda o: o.partition("=")[0])
-    def test_malformed_scenario_names_key_and_exits_2(self, tmp_path, capsys, override):
+    @pytest.mark.parametrize("override, message", [
+        pytest.param(o, m, id=o.partition("=")[0]) for o, m in [
+            ("system.turbo=9", "unknown key 'system.turbo'"),
+            # A JSON null where a number belongs; the message is not wrapped twice.
+            ("pathloss.d1_m=null", "pathloss.d1_m must be a number, got None"),
+            ("system.power_w=null", "system.power_w must be a number, got None"),
+            ("sweep.lo=null", "sweep.lo must be a number, got None"),
+        ]])
+    def test_malformed_scenario_names_key_and_exits_2(self, tmp_path, capsys, override,
+                                                      message):
         scn = write_scenario_file(tmp_path, [override])
         code = main(["rate", "--scenario", str(scn)])
         captured = capsys.readouterr()
         assert code == 2
-        assert override.partition("=")[0] in captured.err
+        assert captured.err == f"scenario error: {message}\n"
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["rate", "--scenario", str(tmp_path / "absent.json")])
