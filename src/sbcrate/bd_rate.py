@@ -44,9 +44,9 @@ _MC_CHUNK = 1 << 19
 #: quadrature, so a level's temporaries stay a few MB at any node count.
 _QUAD_BLOCK = 1 << 18
 
-#: Largest |Im| of the canonical points, relative to the farthest point, that
-#: still counts as rounding on a collinear set.
-_COLLINEAR_TOL = 1e-12
+#: Relative deviation that counts as rounding when the quadrature reads a
+#: set's structure (collinear, or an equally spaced ring).
+_STRUCTURE_TOL = 1e-12
 
 
 class PrecisionError(RuntimeError):
@@ -146,10 +146,11 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics, tol: float = DEFAULT_M
     point on the positive real axis.  If the canonical points are real to
     rounding (every `mask` set, any two points, any collinear set), the noise
     orthogonal to the line carries no information and a 1-D Gauss-Hermite
-    rule of n nodes replaces the n^2 tensor rule.  An `mpsk` set is
-    M-fold rotation-symmetric, so only the Gamma_0-conditioned term of the
-    tensor rule is evaluated.  Other sets average all M conditioned terms
-    over the tensor rule.
+    rule of n nodes replaces the n^2 tensor rule.  An equally spaced ring
+    Gamma_m = Gamma_0 e^{2 pi j m / M} (every `mpsk` set) is M-fold
+    rotation-symmetric, so only the Gamma_0-conditioned term of the tensor
+    rule is evaluated.  Other sets average all M conditioned terms over the
+    tensor rule.  The structure is read from the points, not from `c.kind`.
 
     Refines the node count along `node_schedule` until two consecutive
     estimates differ by at most `tol` bits; raises :class:`PrecisionError`
@@ -168,11 +169,12 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics, tol: float = DEFAULT_M
     far = shifted[np.argmax(np.abs(shifted))]
     canonical = shifted * (abs(far) / far)
     terms = np.arange(len(points))
-    if np.all(np.abs(canonical.imag) <= _COLLINEAR_TOL * abs(far)):
+    if np.all(np.abs(canonical.imag) <= _STRUCTURE_TOL * abs(far)):
         points, dims = canonical.real, 1
     else:
         dims = 2
-        if c.kind == "mpsk":
+        ring = points[0] * np.exp(2j * math.pi * terms / len(points))
+        if np.all(np.abs(points - ring) <= _STRUCTURE_TOL * abs(points[0])):
             terms = terms[:1]
     block = max(_QUAD_BLOCK // len(points), 1)
 

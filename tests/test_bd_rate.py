@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from sbcrate.bd_rate import (DEFAULT_MI_TOL, MrcStatistics, PrecisionError, bd_rate,
                              mi_monte_carlo, mi_quadrature, mrc_statistics)
 from sbcrate.channel import SystemParams
-from sbcrate.constellation import (explicit_constellation, mask_constellation,
+from sbcrate.constellation import (Constellation, explicit_constellation, mask_constellation,
                                    mpsk_constellation)
 
 from .conftest import channel_from_polar
@@ -45,7 +45,7 @@ def tensor_mi_oracle(points, gain: float, noise_var: float, nodes: int,
 
 
 def canonical_points(points) -> np.ndarray:
-    """The set translated by Gamma_0 and rotated so its farthest point lies on the positive real axis."""
+    """The set moved so Gamma_0 is the origin and the farthest point lies on the positive real axis."""
     shifted = np.asarray(points, dtype=complex) - points[0]
     far = shifted[np.argmax(np.abs(shifted))]
     return shifted * (abs(far) / far)
@@ -235,6 +235,19 @@ class TestMiQuadrature:
         mi_quadrature(explicit_constellation(points), MrcStatistics(40.0, 40.0))
         assert kernel_entries
         assert all(entries == 3 * 3 * nodes**2 for nodes, entries in kernel_entries)
+
+    def test_rotation_symmetry_is_read_from_the_points(self, kernel_entries):
+        stats = MrcStatistics(40.0, 40.0)
+        ring = mpsk_constellation(8, 0.9, 0.1).rotated(0.3)  # an explicit set
+        mi_quadrature(ring, stats)
+        assert kernel_entries
+        assert all(entries == 8 * nodes**2 for nodes, entries in kernel_entries)
+        # A label alone does not buy the one-term reduction.
+        points = (0.9 + 0j, 0.5j, -0.3 - 0.4j)
+        kernel_entries.clear()
+        labelled = mi_quadrature(Constellation(points=points, kind="mpsk", order=3), stats)
+        assert all(entries == 3 * 3 * nodes**2 for nodes, entries in kernel_entries)
+        assert labelled == mi_quadrature(explicit_constellation(points), stats)
 
     @pytest.mark.parametrize("scheme", ["mask", "mpsk"])
     def test_work_per_level_follows_structure(self, kernel_entries, scheme):
