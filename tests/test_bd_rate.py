@@ -45,7 +45,7 @@ def tensor_mi_oracle(points, gain: float, noise_var: float, nodes: int,
 
 
 def canonical_points(points) -> np.ndarray:
-    """The set moved so Gamma_0 is the origin and the farthest point lies on the positive real axis."""
+    """The set with Gamma_0 moved to 0 and the farthest point turned onto the positive reals."""
     shifted = np.asarray(points, dtype=complex) - points[0]
     far = shifted[np.argmax(np.abs(shifted))]
     return shifted * (abs(far) / far)
