@@ -12,14 +12,19 @@ The MI is unchanged by translating or rotating the point set, and the
 quadrature uses it: a collinear set (every amplitude-keyed set) needs only a
 1-D rule along its line, and a phase-keyed set, being M-fold rotation-
 symmetric, only the term conditioned on Gamma_0 of the tensor-product rule.
+
+The sampled estimators draw fixed-size chunks, each from its own substream,
+on one thread per usable CPU, and add the per-chunk sums in chunk order: a
+fixed seed gives the same bits whatever the number of threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -36,13 +41,14 @@ _LN2 = math.log(2.0)
 DEFAULT_NODE_SCHEDULE = (64, 96, 144, 216, 324)
 DEFAULT_MI_TOL = 1e-8
 
-#: Monte Carlo samples per substream; fixed so that results do not depend on
-#: how substreams are distributed over workers.
+#: Monte Carlo samples per substream.  Fixed, so the chunks, and with them
+#: every result bit, are the same whatever the number of worker threads.
 _MC_CHUNK = 1 << 19
 
-#: Matrix entries (symbols x observations) per log-ratio kernel call in the
-#: quadrature, so a level's temporaries stay a few MB at any node count.
-_QUAD_BLOCK = 1 << 18
+#: Matrix entries (symbols x observations) per block of the log-ratio kernel,
+#: in the quadrature, Monte Carlo and the simulator alike: a block's
+#: temporaries (512 kB each) stay in cache at any order or sample count.
+_KERNEL_BLOCK = 1 << 16
 
 #: Relative deviation that counts as rounding when the quadrature reads a
 #: set's structure (collinear, or an equally spaced ring).
@@ -97,22 +103,38 @@ def _log_ratio_bits(y: np.ndarray, conditioned: int | np.ndarray, points: np.nda
     or one per observation.  Differences of the Gaussian exponents are taken
     against the transmitted symbol and reduced with max-subtraction, so gains
     up to ~1e8 stay inside the exponential range.  The |y|^2 term cancels in
-    the difference and is never formed.
+    the difference and is never formed.  Observations are taken in blocks of
+    about `_KERNEL_BLOCK` matrix entries; each column is reduced on its own,
+    so the block size does not change a bit of the result.
     """
+    out = np.zeros(y.shape[0])
     if gain == 0.0:
-        return np.zeros(y.shape[0])
+        return out
+    M = len(points)
     scaled = gain * points
-    # u[i, n] = (2 Re(y conj(g G_i)) - |g G_i|^2) / nv; the log ratio needs
-    # only u_i - u_m, with u_m in the same arithmetic so that u_m - u_m == 0.
-    u = (2.0 * (np.outer(scaled.real, y.real) + np.outer(scaled.imag, y.imag))
-         - (np.abs(scaled) ** 2)[:, None]) / noise_var
+    sr, si = scaled.real[:, None], scaled.imag[:, None]
+    energy = (np.abs(scaled) ** 2)[:, None]
     sc = scaled[conditioned]
-    u -= (2.0 * (sc.real * y.real + sc.imag * y.imag) - np.abs(sc) ** 2) / noise_var
-    umax = np.maximum(u.max(axis=0), 0.0)
-    u -= umax
-    np.exp(u, out=u)
-    lse = umax / _LN2 + np.log2(u.sum(axis=0))
-    return math.log2(len(points)) - lse
+    step = max(_KERNEL_BLOCK // M, 1)
+    u_buf, t_buf = np.empty(M * step), np.empty(M * step)
+    for lo in range(0, len(y), step):
+        yr, yi = y[lo:lo + step].real, y[lo:lo + step].imag
+        u = u_buf[:M * len(yr)].reshape(M, -1)
+        t = t_buf[:M * len(yr)].reshape(M, -1)
+        # u[i, n] = (2 Re(y conj(g G_i)) - |g G_i|^2) / nv; the log ratio needs
+        # only u_i - u_m, with u_m in the same arithmetic so that u_m - u_m == 0.
+        np.multiply(sr, yr, out=u)
+        u += np.multiply(si, yi, out=t)
+        u *= 2.0
+        u -= energy
+        u /= noise_var
+        scb = sc if np.ndim(sc) == 0 else sc[lo:lo + step]
+        u -= (2.0 * (scb.real * yr + scb.imag * yi) - np.abs(scb) ** 2) / noise_var
+        umax = np.maximum(u.max(axis=0), 0.0)
+        u -= umax
+        np.exp(u, out=u)
+        out[lo:lo + step] = math.log2(M) - (umax / _LN2 + np.log2(u.sum(axis=0)))
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -176,7 +198,7 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics, tol: float = DEFAULT_M
         ring = points[0] * np.exp(2j * math.pi * terms / len(points))
         if np.all(np.abs(points - ring) <= _STRUCTURE_TOL * abs(points[0])):
             terms = terms[:1]
-    block = max(_QUAD_BLOCK // len(points), 1)
+    block = max(_KERNEL_BLOCK // len(points), 1)
 
     def level(nodes: int) -> float:
         z, weights = _hermite_rule(nodes, dims)
@@ -206,21 +228,54 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics, tol: float = DEFAULT_M
     )
 
 
+def _complex_normal(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
+    """scale * (x + j x') from two standard normal fills, real parts first.
+
+    Scaling the float view gives the bits of `scale * (x + 1j * x')`.
+    """
+    z = np.empty(n, dtype=complex)
+    z.real = rng.standard_normal(n)
+    z.imag = rng.standard_normal(n)
+    parts = z.view(float)
+    parts *= scale
+    return z
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sample_mean(samples: int, chunk: int,
-                 draw: Callable[[list[tuple[int, int]]], Iterator[np.ndarray]]) -> MiEstimate:
+                 values: Callable[[int, int], np.ndarray]) -> MiEstimate:
     """Sample mean and standard error of `samples` values drawn in chunks.
 
-    `draw` takes the (chunk index, size) of every chunk and yields each
-    chunk's values in turn; chunks are summed in index order, so a result
-    depends only on what each chunk draws.  A generator keeps one chunk's
-    arrays alive until the next chunk replaces them, so their memory is
-    reused rather than handed back to the system and faulted in again.
+    `values(index, size)` returns the values of one chunk.  Chunks run on a
+    pool of threads, one per usable CPU but no more than there are chunks
+    (numpy's random fills and ufunc loops release the GIL); each chunk is
+    reduced to its sum and sum of squares, and these are added in index
+    order.  So a result depends only on what each chunk draws, not on the
+    number of threads.
     """
-    plan = [(i, min(chunk, samples - start)) for i, start in enumerate(range(0, samples, chunk))]
+    sizes = [min(chunk, samples - start) for start in range(0, samples, chunk)]
+
+    def moments(index: int) -> tuple[float, float]:
+        vals = values(index, sizes[index])
+        return float(vals.sum()), float((vals * vals).sum())
+
+    workers = min(_usable_cpus(), len(sizes))
+    if workers > 1:
+        # Imported here: it adds about 10 ms to `import sbcrate` otherwise.
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            sums = list(pool.map(moments, range(len(sizes))))
+    else:
+        sums = [moments(index) for index in range(len(sizes))]
     total = total_sq = 0.0
-    for vals in draw(plan):
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+    for chunk_sum, chunk_sq in sums:
+        total += chunk_sum
+        total_sq += chunk_sq
     mean = total / samples
     var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
     return MiEstimate(value_bits=mean, std_error_bits=math.sqrt(var / samples),
@@ -234,7 +289,7 @@ def mi_monte_carlo(c: Constellation, stats: MrcStatistics, samples: int,
     Draws symbols uniformly, adds the Gaussian observation noise, and
     averages the plug-in log ratio.  Samples are generated in fixed-size
     substreams keyed by (seed, chunk index), so the result is bit-identical
-    for a given seed no matter how the chunks would be scheduled.
+    for a given seed however many threads share the chunks.
     """
     if samples < 10_000:
         raise ValueError(f"samples must be >= 10000, got {samples!r}")
@@ -243,18 +298,18 @@ def mi_monte_carlo(c: Constellation, stats: MrcStatistics, samples: int,
     if stats.noise_var <= 0.0:
         raise ValueError(f"noise_var must be > 0, got {stats.noise_var!r}")
     points = np.asarray(c.points, dtype=complex)
+    scaled = stats.gain * points
     half = math.sqrt(stats.noise_var / 2.0)
 
-    def draw(plan: list[tuple[int, int]]) -> Iterator[np.ndarray]:
-        for chunk_index, n in plan:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-            m = rng.integers(0, len(points), size=n)
-            w = half * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            y = stats.gain * points[m] + w
-            yield _log_ratio_bits(y, m, points, stats.gain, stats.noise_var)
+    def values(chunk_index: int, n: int) -> np.ndarray:
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
+        m = rng.integers(0, len(points), size=n)
+        y = _complex_normal(rng, n, half)
+        y += scaled[m]
+        return _log_ratio_bits(y, m, points, stats.gain, stats.noise_var)
 
-    return _sample_mean(samples, _MC_CHUNK, draw)
+    return _sample_mean(samples, _MC_CHUNK, values)
 
 
 def bd_rate(sys: SystemParams, ch: ChannelTriple, c: Constellation,

@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
-from .bd_rate import MiEstimate, _log_ratio_bits, _sample_mean, mrc_statistics
+from .bd_rate import (_KERNEL_BLOCK, MiEstimate, _complex_normal, _log_ratio_bits,
+                      _sample_mean, mrc_statistics)
 from .channel import ChannelTriple, SystemParams
 from .constellation import Constellation
 
@@ -43,7 +43,13 @@ class RngSpec:
 
 def cscg_samples(rng: np.random.Generator, n: int) -> np.ndarray:
     """Unit-variance circularly symmetric complex Gaussian samples."""
-    return math.sqrt(0.5) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return _complex_normal(rng, n, math.sqrt(0.5))
+
+
+def _warn_low_spread(L: int) -> None:
+    if L < LOW_SPREAD_WARNING:
+        warnings.warn(f"spreading factor L={L} is small; the combining model "
+                      f"assumes L >> 1", stacklevel=3)
 
 
 @dataclass
@@ -81,22 +87,34 @@ def simulate_block(sys: SystemParams, ch: ChannelTriple, c: Constellation,
     """
     if n_bd_symbols < 1:
         raise ValueError(f"n_bd_symbols must be >= 1, got {n_bd_symbols!r}")
-    L = sys.spread
-    if L < LOW_SPREAD_WARNING:
-        warnings.warn(f"spreading factor L={L} is small; the combining model "
-                      f"assumes L >> 1", stacklevel=2)
+    _warn_low_spread(sys.spread)
     gen = rng.generator() if isinstance(rng, RngSpec) else rng
-    n_pt = n_bd_symbols * L
-    s = cscg_samples(gen, n_pt)
+    return _simulate(sys, ch, c, n_bd_symbols, gen, normalize_pt_power)
+
+
+def _simulate(sys: SystemParams, ch: ChannelTriple, c: Constellation, n_bd: int,
+              gen: np.random.Generator, normalize_pt_power: bool) -> SimulatedBlock:
+    """`simulate_block` without its checks; the chunks of `empirical_bd_mi` run it."""
+    L = sys.spread
+    s = cscg_samples(gen, n_bd * L)
+    spans = s.reshape(n_bd, L)
     if normalize_pt_power:
-        spans = s.reshape(n_bd_symbols, L)
-        energy = np.sqrt(np.mean(np.abs(spans) ** 2, axis=1, keepdims=True))
-        s = (spans / energy).reshape(n_pt)
-    idx = gen.integers(0, c.order, size=n_bd_symbols)
+        energy = np.abs(spans)
+        np.square(energy, out=energy)
+        energy = np.sqrt(np.mean(energy, axis=1, keepdims=True))
+        # Scaling the float view by 1/energy gives the bits of complex / real.
+        parts = s.view(float).reshape(n_bd, 2 * L)
+        parts *= 1.0 / energy
+    idx = gen.integers(0, c.order, size=n_bd)
     gamma = np.asarray(c.points, dtype=complex)[idx]
     h_eq = ch.h1 + ch.h2 * ch.h3 * gamma          # per device symbol
-    noise = math.sqrt(sys.noise_w) * cscg_samples(gen, n_pt)
-    y = math.sqrt(sys.power_w) * np.repeat(h_eq, L) * s + noise
+    y = np.multiply((math.sqrt(sys.power_w) * h_eq)[:, None], spans).reshape(n_bd * L)
+    # The noise sqrt(sigma^2) * cscg_samples(...), added one component at a time.
+    for part in (y.real, y.imag):
+        noise = gen.standard_normal(n_bd * L)
+        noise *= math.sqrt(0.5)
+        noise *= math.sqrt(sys.noise_w)
+        part += noise
     return SimulatedBlock(pt_symbols=s, bd_symbol_indices=idx, received=y)
 
 
@@ -111,9 +129,19 @@ def sic_mrc_receiver(block: SimulatedBlock, sys: SystemParams,
     """
     L = sys.spread
     n_bd = len(block.bd_symbol_indices)
-    residual = block.received - math.sqrt(sys.power_w) * ch.h1 * block.pt_symbols
-    weights = (math.sqrt(sys.power_w) * ch.h2 * ch.h3 * block.pt_symbols).conj()
-    out = (weights * residual).reshape(n_bd, L).sum(axis=1) / sys.noise_w
+    s = block.pt_symbols.reshape(n_bd, L)
+    residual = np.multiply(math.sqrt(sys.power_w) * ch.h1, block.pt_symbols)
+    np.subtract(block.received, residual, out=residual)
+    # The combiner weights exist for a few spans at a time; each span is
+    # summed on its own, so the outputs do not depend on how many.
+    out = np.empty(n_bd, dtype=complex)
+    rows = max(_KERNEL_BLOCK // L, 1)
+    for lo in range(0, n_bd, rows):
+        weights = np.multiply(math.sqrt(sys.power_w) * ch.h2 * ch.h3, s[lo:lo + rows])
+        np.conjugate(weights, out=weights)
+        weights *= residual.reshape(n_bd, L)[lo:lo + rows]
+        out[lo:lo + rows] = weights.sum(axis=1)
+    out /= sys.noise_w
     block.residual = residual
     block.mrc_outputs = out
     return out
@@ -129,16 +157,14 @@ def empirical_bd_mi(sys: SystemParams, ch: ChannelTriple, c: Constellation,
     """
     if n_bd_symbols < 10_000:
         raise ValueError(f"n_bd_symbols must be >= 10000, got {n_bd_symbols!r}")
+    _warn_low_spread(sys.spread)
     stats = mrc_statistics(sys, ch)
     points = np.asarray(c.points, dtype=complex)
 
-    def draw(plan: list[tuple[int, int]]) -> Iterator[np.ndarray]:
-        for chunk_index, n in plan:
-            block = simulate_block(sys, ch, c, n, rng.generator(chunk_index))
-            y = sic_mrc_receiver(block, sys, ch)
-            yield _log_ratio_bits(y, block.bd_symbol_indices, points,
-                                  stats.gain, stats.noise_var)
+    def values(chunk_index: int, n: int) -> np.ndarray:
+        block = _simulate(sys, ch, c, n, rng.generator(chunk_index), True)
+        y = sic_mrc_receiver(block, sys, ch)
+        return _log_ratio_bits(y, block.bd_symbol_indices, points,
+                               stats.gain, stats.noise_var)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # low-L warning surfaced once by callers
-        return _sample_mean(n_bd_symbols, _SIM_CHUNK, draw)
+    return _sample_mean(n_bd_symbols, _SIM_CHUNK, values)

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import quad
 
-from sbcrate.bd_rate import (DEFAULT_MI_TOL, MrcStatistics, PrecisionError, bd_rate,
-                             mi_monte_carlo, mi_quadrature, mrc_statistics)
+from sbcrate.bd_rate import (_KERNEL_BLOCK, DEFAULT_MI_TOL, MrcStatistics, PrecisionError,
+                             _log_ratio_bits, bd_rate, mi_monte_carlo, mi_quadrature,
+                             mrc_statistics)
 from sbcrate.channel import SystemParams
 from sbcrate.constellation import (Constellation, explicit_constellation, mask_constellation,
                                    mpsk_constellation)
@@ -42,6 +43,18 @@ def tensor_mi_oracle(points, gain: float, noise_var: float, nodes: int,
         lse = tmax / math.log(2.0) + np.log2(np.exp(t - tmax).sum(axis=0))
         acc += float((w2 * lse).sum())
     return math.log2(M) - acc / len(conditioned)
+
+
+def whole_log_ratio_oracle(y, conditioned, points, gain: float, noise_var: float) -> np.ndarray:
+    """The log-ratio kernel over all observations at once, as one M x n matrix."""
+    scaled = gain * points
+    u = (2.0 * (np.outer(scaled.real, y.real) + np.outer(scaled.imag, y.imag))
+         - (np.abs(scaled) ** 2)[:, None]) / noise_var
+    sc = scaled[conditioned]
+    u -= (2.0 * (sc.real * y.real + sc.imag * y.imag) - np.abs(sc) ** 2) / noise_var
+    umax = np.maximum(u.max(axis=0), 0.0)
+    lse = umax / math.log(2.0) + np.log2(np.exp(u - umax).sum(axis=0))
+    return math.log2(len(points)) - lse
 
 
 def canonical_points(points) -> np.ndarray:
@@ -114,6 +127,22 @@ class TestMrcStatistics:
         st_ = mrc_statistics(default_system, default_channel)
         assert st_.gain == pytest.approx(642.5679030907881, rel=1e-9)
         assert st_.gain == st_.noise_var
+
+
+class TestLogRatioKernel:
+    @pytest.mark.parametrize("M", [2, 8, 16, 64])
+    @pytest.mark.parametrize("per_observation", [False, True], ids=["int", "array"])
+    def test_blocks_match_one_whole_array_call(self, M, per_observation):
+        # Two full blocks and a partial one.
+        n = 2 * (_KERNEL_BLOCK // M) + 77
+        rng = np.random.default_rng(M)
+        points = np.asarray(mpsk_constellation(M, 0.9, 0.01).points, dtype=complex)
+        g = 7.0
+        m = rng.integers(0, M, size=n) if per_observation else M // 2
+        y = g * points[m] + math.sqrt(g / 2) * (rng.standard_normal(n)
+                                                + 1j * rng.standard_normal(n))
+        got = _log_ratio_bits(y, m, points, g, g)
+        assert np.array_equal(got, whole_log_ratio_oracle(y, m, points, g, g))
 
 
 class TestMiQuadrature:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,28 @@ from sbcrate.link_sim import (RngSpec, cscg_samples, empirical_bd_mi, sic_mrc_re
                               simulate_block)
 
 from .conftest import channel_from_polar
+
+
+def chain_oracle(sys, ch, c, n_bd, gen, normalize_pt_power):
+    """The simulated chain in whole-array expressions: (s, indices, y, residual, outputs).
+
+    Draws in the simulator's order: primary symbols, device symbols, noise.
+    """
+    L = sys.spread
+    s = math.sqrt(0.5) * (gen.standard_normal(n_bd * L) + 1j * gen.standard_normal(n_bd * L))
+    if normalize_pt_power:
+        spans = s.reshape(n_bd, L)
+        energy = np.sqrt(np.mean(np.abs(spans) ** 2, axis=1, keepdims=True))
+        s = (spans / energy).reshape(n_bd * L)
+    idx = gen.integers(0, c.order, size=n_bd)
+    h_eq = ch.h1 + ch.h2 * ch.h3 * np.asarray(c.points, dtype=complex)[idx]
+    noise = math.sqrt(sys.noise_w) * (math.sqrt(0.5) * (gen.standard_normal(n_bd * L)
+                                                       + 1j * gen.standard_normal(n_bd * L)))
+    y = math.sqrt(sys.power_w) * np.repeat(h_eq, L) * s + noise
+    residual = y - math.sqrt(sys.power_w) * ch.h1 * s
+    weights = (math.sqrt(sys.power_w) * ch.h2 * ch.h3 * s).conj()
+    out = (weights * residual).reshape(n_bd, L).sum(axis=1) / sys.noise_w
+    return s, idx, y, residual, out
 
 
 class TestSimulateBlock:
@@ -59,6 +82,23 @@ class TestSimulateBlock:
         spans = block.pt_symbols.reshape(16, default_system.spread)
         power = np.mean(np.abs(spans) ** 2, axis=1)
         assert np.allclose(power, 1.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("L", [16, 64, 128])
+@pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
+def test_chain_matches_whole_array_oracle(default_channel, L, normalize):
+    # Neither power nor noise a power of ten, so no scaling is exact by accident.
+    sys = SystemParams(power_w=7.3e-4, noise_w=2.9e-13, spread=L)
+    c = mpsk_constellation(4, 0.8, 0.1)
+    block = simulate_block(sys, default_channel, c, 300, RngSpec(41, stream=L),
+                           normalize_pt_power=normalize)
+    sic_mrc_receiver(block, sys, default_channel)
+    want = chain_oracle(sys, default_channel, c, 300, RngSpec(41, stream=L).generator(),
+                        normalize)
+    got = (block.pt_symbols, block.bd_symbol_indices, block.received, block.residual,
+           block.mrc_outputs)
+    for name, a, b in zip(("s", "indices", "received", "residual", "outputs"), got, want):
+        assert np.array_equal(a, b), name
 
 
 class TestSicMrcReceiver:
@@ -143,6 +183,16 @@ class TestEmpiricalMi:
         with pytest.raises(ValueError):
             empirical_bd_mi(default_system, default_channel,
                             mask_constellation(2, 0.0), 100, RngSpec(1))
+
+    @pytest.mark.parametrize("L, count", [(8, 1), (64, 0)])
+    def test_low_spread_warns_once_at_the_caller(self, L, count):
+        ch = channel_from_polar(1.0, 1.0, 1.0)
+        sys = SystemParams(power_w=1.0 / L, noise_w=1.0, spread=L)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            empirical_bd_mi(sys, ch, mask_constellation(2, 0.0), 20_000, RngSpec(4))
+        assert [w.category for w in caught] == [UserWarning] * count
+        assert all(w.filename == __file__ for w in caught)
 
     def test_deterministic_for_fixed_spec(self):
         ch = channel_from_polar(1.0, 1.0, 1.0)

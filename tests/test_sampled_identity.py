@@ -6,6 +6,9 @@ gives the same bits however the chunks are computed.  The values below are
 written as `float.hex` so that any change in the arithmetic shows.
 """
 
+import importlib
+import sys
+
 import pytest
 
 from sbcrate.bd_rate import MrcStatistics, mi_monte_carlo
@@ -47,13 +50,32 @@ def simulated(default_channel, scheme, M, seed, L):
                            RngSpec(seed))
 
 
+@pytest.fixture(params=[None, 1, 3], ids=["usable_cpus", "1_worker", "3_workers"])
+def workers(request, monkeypatch):
+    """Worker threads per sampler: as many as usable CPUs, or forced to a count.
+
+    With more threads than cores, the interpreter also switches threads far
+    more often than usual, so chunks interleave as finely as they can.
+    """
+    if request.param is not None:
+        engine = importlib.import_module("sbcrate.bd_rate")
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: request.param)
+    interval = sys.getswitchinterval()
+    if request.param == 3:
+        sys.setswitchinterval(1e-6)
+    try:
+        yield request.param
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("case", list(MC_CASES), ids=lambda c: "-".join(map(str, c)))
-def test_monte_carlo_is_pinned(case):
+def test_monte_carlo_is_pinned(workers, case):
     est = monte_carlo(*case)
     assert (est.value_bits.hex(), est.std_error_bits.hex()) == MC_CASES[case]
 
 
 @pytest.mark.parametrize("case", list(SIM_CASES), ids=lambda c: "-".join(map(str, c)))
-def test_simulated_link_is_pinned(default_channel, case):
+def test_simulated_link_is_pinned(default_channel, workers, case):
     est = simulated(default_channel, *case)
     assert (est.value_bits.hex(), est.std_error_bits.hex()) == SIM_CASES[case]
