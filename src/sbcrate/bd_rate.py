@@ -115,7 +115,7 @@ def _log_ratio_bits(y: np.ndarray, conditioned: int | np.ndarray, points: np.nda
     sr, si = scaled.real[:, None], scaled.imag[:, None]
     energy = (np.abs(scaled) ** 2)[:, None]
     sc = scaled[conditioned]
-    step = max(_KERNEL_BLOCK // M, 1)
+    step = max(min(_KERNEL_BLOCK // M, len(y)), 1)
     u_buf, t_buf = np.empty(M * step), np.empty(M * step)
     for lo in range(0, len(y), step):
         yr, yi = y[lo:lo + step].real, y[lo:lo + step].imag
@@ -241,6 +241,20 @@ def _complex_normal(rng: np.random.Generator, n: int, scale: float) -> np.ndarra
     return z
 
 
+def _add_complex_normal(rng: np.random.Generator, y: np.ndarray, *scales: float) -> None:
+    """y += scales[-1] * (... * (scales[0] * (x + j x'))), in place, real parts drawn first.
+
+    The same bits as adding the complex noise array, with one float buffer
+    for the draws.
+    """
+    noise = np.empty(len(y))
+    for part in (y.real, y.imag):
+        rng.standard_normal(out=noise)
+        for scale in scales:
+            noise *= scale
+        part += noise
+
+
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -305,8 +319,8 @@ def mi_monte_carlo(c: Constellation, stats: MrcStatistics, samples: int,
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
         m = rng.integers(0, len(points), size=n)
-        y = _complex_normal(rng, n, half)
-        y += scaled[m]
+        y = scaled[m]
+        _add_complex_normal(rng, y, half)
         return _log_ratio_bits(y, m, points, stats.gain, stats.noise_var)
 
     return _sample_mean(samples, _MC_CHUNK, values)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bd_rate import (_KERNEL_BLOCK, MiEstimate, _complex_normal, _log_ratio_bits,
-                      _sample_mean, mrc_statistics)
+from .bd_rate import (_KERNEL_BLOCK, MiEstimate, _add_complex_normal, _complex_normal,
+                      _log_ratio_bits, _sample_mean, mrc_statistics)
 from .channel import ChannelTriple, SystemParams
 from .constellation import Constellation
 
@@ -109,12 +109,8 @@ def _simulate(sys: SystemParams, ch: ChannelTriple, c: Constellation, n_bd: int,
     gamma = np.asarray(c.points, dtype=complex)[idx]
     h_eq = ch.h1 + ch.h2 * ch.h3 * gamma          # per device symbol
     y = np.multiply((math.sqrt(sys.power_w) * h_eq)[:, None], spans).reshape(n_bd * L)
-    # The noise sqrt(sigma^2) * cscg_samples(...), added one component at a time.
-    for part in (y.real, y.imag):
-        noise = gen.standard_normal(n_bd * L)
-        noise *= math.sqrt(0.5)
-        noise *= math.sqrt(sys.noise_w)
-        part += noise
+    # Noise sqrt(sigma^2) * cscg_samples(gen, n_bd * L).
+    _add_complex_normal(gen, y, math.sqrt(0.5), math.sqrt(sys.noise_w))
     return SimulatedBlock(pt_symbols=s, bd_symbol_indices=idx, received=y)
 
 
@@ -127,23 +123,35 @@ def sic_mrc_receiver(block: SimulatedBlock, sys: SystemParams,
     Assumes the primary symbols and both cascaded coefficients are known
     exactly, as in the analytical model.
     """
+    block.residual = np.empty_like(block.received)
+    block.mrc_outputs = _combine(block, sys, ch, block.residual)
+    return block.mrc_outputs
+
+
+def _combine(block: SimulatedBlock, sys: SystemParams, ch: ChannelTriple,
+             residual: np.ndarray) -> np.ndarray:
+    """The receiver's outputs, its residual written to `residual` (may be `block.received`).
+
+    Works on a few spans at a time; each span is summed on its own, so the
+    outputs do not depend on how many.
+    """
     L = sys.spread
     n_bd = len(block.bd_symbol_indices)
     s = block.pt_symbols.reshape(n_bd, L)
-    residual = np.multiply(math.sqrt(sys.power_w) * ch.h1, block.pt_symbols)
-    np.subtract(block.received, residual, out=residual)
-    # The combiner weights exist for a few spans at a time; each span is
-    # summed on its own, so the outputs do not depend on how many.
+    y = block.received.reshape(n_bd, L)
+    res = residual.reshape(n_bd, L)
+    direct = math.sqrt(sys.power_w) * ch.h1
+    cascade = math.sqrt(sys.power_w) * ch.h2 * ch.h3
     out = np.empty(n_bd, dtype=complex)
     rows = max(_KERNEL_BLOCK // L, 1)
     for lo in range(0, n_bd, rows):
-        weights = np.multiply(math.sqrt(sys.power_w) * ch.h2 * ch.h3, s[lo:lo + rows])
+        span = slice(lo, lo + rows)
+        np.subtract(y[span], direct * s[span], out=res[span])
+        weights = np.multiply(cascade, s[span])
         np.conjugate(weights, out=weights)
-        weights *= residual.reshape(n_bd, L)[lo:lo + rows]
-        out[lo:lo + rows] = weights.sum(axis=1)
+        weights *= res[span]
+        out[span] = weights.sum(axis=1)
     out /= sys.noise_w
-    block.residual = residual
-    block.mrc_outputs = out
     return out
 
 
@@ -163,7 +171,8 @@ def empirical_bd_mi(sys: SystemParams, ch: ChannelTriple, c: Constellation,
 
     def values(chunk_index: int, n: int) -> np.ndarray:
         block = _simulate(sys, ch, c, n, rng.generator(chunk_index), True)
-        y = sic_mrc_receiver(block, sys, ch)
+        # The residual is not kept, so it overwrites the received samples.
+        y = _combine(block, sys, ch, block.received)
         return _log_ratio_bits(y, block.bd_symbol_indices, points,
                                stats.gain, stats.noise_var)
 
