@@ -228,19 +228,6 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics, tol: float = DEFAULT_M
     )
 
 
-def _complex_normal(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
-    """scale * (x + j x') from two standard normal fills, real parts first.
-
-    Scaling the float view gives the bits of `scale * (x + 1j * x')`.
-    """
-    z = np.empty(n, dtype=complex)
-    z.real = rng.standard_normal(n)
-    z.imag = rng.standard_normal(n)
-    parts = z.view(float)
-    parts *= scale
-    return z
-
-
 def _add_complex_normal(rng: np.random.Generator, y: np.ndarray, *scales: float) -> None:
     """y += scales[-1] * (... * (scales[0] * (x + j x'))), in place, real parts drawn first.
 
@@ -256,6 +243,7 @@ def _add_complex_normal(rng: np.random.Generator, y: np.ndarray, *scales: float)
 
 
 def _usable_cpus() -> int:
+    """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

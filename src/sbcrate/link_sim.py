@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bd_rate import (_KERNEL_BLOCK, MiEstimate, _add_complex_normal, _complex_normal,
-                      _log_ratio_bits, _sample_mean, mrc_statistics)
+from .bd_rate import (_KERNEL_BLOCK, MiEstimate, _add_complex_normal, _log_ratio_bits,
+                      _sample_mean, mrc_statistics)
 from .channel import ChannelTriple, SystemParams
 from .constellation import Constellation
 
@@ -43,7 +43,9 @@ class RngSpec:
 
 def cscg_samples(rng: np.random.Generator, n: int) -> np.ndarray:
     """Unit-variance circularly symmetric complex Gaussian samples."""
-    return _complex_normal(rng, n, math.sqrt(0.5))
+    z = np.zeros(n, dtype=complex)
+    _add_complex_normal(rng, z, math.sqrt(0.5))
+    return z
 
 
 def _warn_low_spread(L: int) -> None:
