@@ -266,14 +266,10 @@ def _sample_mean(samples: int, chunk: int,
         vals = values(index, sizes[index])
         return float(vals.sum()), float((vals * vals).sum())
 
-    workers = min(_usable_cpus(), len(sizes))
-    if workers > 1:
-        # Imported here: it adds about 10 ms to `import sbcrate` otherwise.
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            sums = list(pool.map(moments, range(len(sizes))))
-    else:
-        sums = [moments(index) for index in range(len(sizes))]
+    # Imported here: it adds about 10 ms to `import sbcrate` otherwise.
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(min(_usable_cpus(), len(sizes))) as pool:
+        sums = list(pool.map(moments, range(len(sizes))))
     total = total_sq = 0.0
     for chunk_sum, chunk_sq in sums:
         total += chunk_sum

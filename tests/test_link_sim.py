@@ -8,8 +8,8 @@ from sbcrate.bd_rate import mi_quadrature, mrc_statistics
 from sbcrate.channel import ChannelTriple, SystemParams
 from sbcrate.constellation import (explicit_constellation, mask_constellation,
                                    mpsk_constellation)
-from sbcrate.link_sim import (RngSpec, cscg_samples, empirical_bd_mi, sic_mrc_receiver,
-                              simulate_block)
+from sbcrate.link_sim import (RngSpec, SimulatedBlock, cscg_samples, empirical_bd_mi,
+                              sic_mrc_receiver, simulate_block)
 
 from .conftest import channel_from_polar
 
@@ -112,6 +112,21 @@ class TestSicMrcReceiver:
         want = g * np.asarray(c.points)[block.bd_symbol_indices]
         assert np.allclose(out, want, rtol=1e-10)
         assert block.mrc_outputs is not None and block.residual is not None
+
+    def test_real_valued_block_gives_a_complex_residual(self, default_channel):
+        # A caller may build a block from real arrays; the residual and the
+        # outputs are still the complex whole-array expressions.
+        sys = SystemParams(power_w=7.3e-4, noise_w=2.9e-13, spread=16)
+        gen = np.random.default_rng(17)
+        s, y = gen.standard_normal(64), 1e-3 * gen.standard_normal(64)
+        block = SimulatedBlock(pt_symbols=s, bd_symbol_indices=np.zeros(4, dtype=int),
+                               received=y)
+        out = sic_mrc_receiver(block, sys, default_channel)
+        residual = y - math.sqrt(sys.power_w) * default_channel.h1 * s
+        weights = (math.sqrt(sys.power_w) * default_channel.h2 * default_channel.h3 * s).conj()
+        assert block.residual.dtype == complex
+        assert np.array_equal(block.residual, residual)
+        assert np.array_equal(out, (weights * residual).reshape(4, 16).sum(axis=1) / sys.noise_w)
 
     def test_residual_has_no_direct_component(self):
         # The correlation of the residual against s recovers only the
