@@ -172,7 +172,7 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics, tol: float = DEFAULT_M
     Gamma_m = Gamma_0 e^{2 pi j m / M} (every `mpsk` set) is M-fold
     rotation-symmetric, so only the Gamma_0-conditioned term of the tensor
     rule is evaluated.  Other sets average all M conditioned terms over the
-    tensor rule.  The structure is read from the points, not from `c.kind`.
+    tensor rule.  The structure is read from the points alone.
 
     Refines the node count along `node_schedule` until two consecutive
     estimates differ by at most `tol` bits; raises :class:`PrecisionError`

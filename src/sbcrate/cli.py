@@ -18,11 +18,11 @@ import numpy as np
 
 from .bd_rate import PrecisionError, bd_rate, mi_monte_carlo, mrc_statistics, mi_quadrature
 from .channel import TWO_PI
-from .constellation import equal_power_psk_amplitude
+from .constellation import equal_power_psk_amplitude, mask_points, mpsk_points
 from .phase_opt import PhaseOptProblem, optimal_phase_ask, optimal_phase_psk, solve_phase_problem
-from .pt_rate import (_mask_amplitudes, _psk_optimum_points, _rate_bits, mask_rate_curve,
-                      max_pt_rate_ask, max_pt_rate_psk, mpsk_rate_curve, pt_rate_no_bd,
-                      pt_rate_psk_infinite, rate_gain)
+from .pt_rate import (_rate_bits, mask_rate_curve, max_pt_rate_ask, max_pt_rate_psk,
+                      mpsk_rate_curve, psk_optimal_offset, pt_rate_no_bd, pt_rate_psk_infinite,
+                      rate_gain)
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_hash
 
 #: Equal-power ring amplitude in the infinite-order limit of the amplitude grid.
@@ -98,18 +98,23 @@ def cmd_ratio_sweep(scn: Scenario, args) -> list[str]:
     M = scn.order
     alpha0 = equal_power_psk_amplitude(M)  # equal average power per order
     grid = np.linspace(scn.sweep.lo, scn.sweep.hi, steps)
-    ask_points, psk_points = _mask_amplitudes(M), _psk_optimum_points(M, alpha0)
+    ask_points = mask_points(M, 0.0)
+    psk_points = mpsk_points(M, alpha0, psk_optimal_offset(M))
 
     def optima(ratios):
         # Both optimal rates with |h1| = ratio * |h2||h3|.
         h1 = np.asarray(ratios)[..., None] * a23
         return _rate_bits(rho, h1, a23, ask_points), _rate_bits(rho, h1, a23, psk_points)
 
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        asks, psks = optima(grid)
+        diffs = asks - psks
+    if not np.all(np.isfinite(diffs)):
+        raise ScenarioError(f"ratio-sweep rates overflow at ratio "
+                            f"{_fmt(grid[~np.isfinite(diffs)][0])}; lower sweep.hi")
     lines = _meta(scn, "ratio-sweep")
     lines.append(f"# order={M} psk_amplitude={_fmt(alpha0)}")
     lines.append("ratio,rate_ask_opt_bits,rate_psk_opt_bits")
-    asks, psks = optima(grid)
-    diffs = asks - psks
     for r, ask, psk in zip(grid, asks, psks):
         lines.append(f"{_fmt(r)},{_fmt(ask)},{_fmt(psk)}")
     sign = np.sign(diffs)
@@ -119,8 +124,8 @@ def cmd_ratio_sweep(scn: Scenario, args) -> list[str]:
     for i in brackets:
         a, b = float(grid[i]), float(grid[i + 1])
         fa = diffs[i]
-        for _ in range(80):  # bisection to machine precision on the grid cell
-            mid = 0.5 * (a + b)
+        mid = 0.5 * (a + b)
+        while a < mid < b:  # bisect until the cell holds no float between its ends
             ask, psk = optima(mid)
             fm = float(ask - psk)
             if fm == 0.0:
@@ -130,6 +135,7 @@ def cmd_ratio_sweep(scn: Scenario, args) -> list[str]:
                 a, fa = mid, fm
             else:
                 b = mid
+            mid = 0.5 * (a + b)
         crossings.append(0.5 * (a + b))
     r0 = crossings[0] if len(crossings) == 1 else float("nan")
     lines.append(f"# sign_changes={len(crossings)} crossing_ratio_r0="

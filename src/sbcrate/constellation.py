@@ -3,15 +3,18 @@
 The device switches among M load impedances, each mapping to a complex
 reflection coefficient Gamma with |Gamma| <= 1.  Symbols are equiprobable.
 Amplitude keying uses the equidistant grid (m-1)/(M-1) at a common phase;
-phase keying uses a common amplitude at M equally spaced phases.  Arbitrary
-point sets are supported for impedance-derived and degenerate test inputs.
+phase keying uses a common amplitude at M equally spaced phases.  Each scheme
+has one point formula, vectorised over base phases, which the constellations,
+the rate curves and the rate optima all share.  Arbitrary point sets are
+supported for degenerate test inputs.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .channel import TWO_PI
 
@@ -19,68 +22,23 @@ _PASSIVITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class Impedance:
-    """Complex impedance Z = R + jX in ohms."""
-
-    resistance_ohm: float
-    reactance_ohm: float
-
-    @property
-    def z(self) -> complex:
-        return complex(self.resistance_ohm, self.reactance_ohm)
-
-
-def reflection_from_impedance(antenna: Impedance, load: Impedance) -> complex:
-    """Reflection coefficient (Za* - Zm) / (Za + Zm) of one load state.
-
-    The antenna must have positive resistance and the load a non-negative
-    one (passive components), which keeps |Gamma| <= 1.
-    """
-    if antenna.resistance_ohm <= 0:
-        raise ValueError(f"antenna resistance must be > 0 ohm, got {antenna.resistance_ohm!r}")
-    if load.resistance_ohm < 0:
-        raise ValueError(f"load resistance must be >= 0 ohm (passive load), "
-                         f"got {load.resistance_ohm!r}")
-    za, zm = antenna.z, load.z
-    den = za + zm
-    if den == 0:
-        raise ValueError("singular impedance pair: Za + Zm = 0")
-    gamma = (za.conjugate() - zm) / den
-    if abs(gamma) > 1.0 + _PASSIVITY_TOL:
-        raise ValueError(f"passivity violation: |Gamma| = {abs(gamma)} > 1")
-    return gamma
-
-
-@dataclass(frozen=True)
 class Constellation:
-    """Ordered reflection coefficients Gamma_1..Gamma_M, equiprobable.
-
-    `base_phase` is the common phase of amplitude keying or the first-symbol
-    phase of phase keying; `amplitude` is the common ring radius of phase
-    keying.  Both are None for explicit point sets.
-    """
+    """Ordered reflection coefficients Gamma_1..Gamma_M, equiprobable."""
 
     points: tuple[complex, ...]
-    kind: str
-    order: int
-    base_phase: float | None = None
-    amplitude: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("mask", "mpsk", "explicit"):
-            raise ValueError(f"unknown constellation kind {self.kind!r}")
-        if self.order != len(self.points) or self.order < 1:
-            raise ValueError("order must equal the number of points and be >= 1")
+        if not self.points:
+            raise ValueError("a constellation needs at least one point")
         for p in self.points:
             if not (math.isfinite(p.real) and math.isfinite(p.imag)):
                 raise ValueError(f"non-finite constellation point {p!r}")
             if abs(p) > 1.0 + _PASSIVITY_TOL:
                 raise ValueError(f"passivity violation: |Gamma| = {abs(p)} > 1")
 
-    def rotated(self, psi: float) -> "Constellation":
-        """The same point set rotated by a global phase (explicit kind)."""
-        rot = cmath.exp(1j * psi)
-        return explicit_constellation([p * rot for p in self.points])
+    @property
+    def order(self) -> int:
+        return len(self.points)
 
 
 def _check_order(M: int) -> None:
@@ -88,12 +46,22 @@ def _check_order(M: int) -> None:
         raise ValueError(f"modulation order must be an integer >= 2, got {M!r}")
 
 
+def mask_points(M: int, phases) -> np.ndarray:
+    """Amplitude-keyed points (m-1)/(M-1) * e^{j phi}, m = 1..M, one row per phase."""
+    _check_order(M)
+    return np.arange(M) / (M - 1) * np.exp(1j * np.asarray(phases, dtype=float)[..., None])
+
+
+def mpsk_points(M: int, alpha0: float, phases) -> np.ndarray:
+    """Phase-keyed points alpha0 * e^{j(phi + 2pi(m-1)/M)}, m = 1..M, one row per phase."""
+    _check_order(M)
+    phases = np.asarray(phases, dtype=float)[..., None]
+    return alpha0 * np.exp(1j * (phases + TWO_PI * np.arange(M) / M))
+
+
 def mask_constellation(M: int, phi0: float) -> Constellation:
     """Amplitude-keyed set (m-1)/(M-1) * e^{j phi0}, m = 1..M."""
-    _check_order(M)
-    rot = cmath.exp(1j * phi0)
-    pts = tuple((m / (M - 1)) * rot for m in range(M))
-    return Constellation(points=pts, kind="mask", order=M, base_phase=float(phi0))
+    return Constellation(points=tuple(mask_points(M, phi0).tolist()))
 
 
 def mpsk_constellation(M: int, alpha0: float, phi0: float) -> Constellation:
@@ -107,19 +75,11 @@ def mpsk_constellation(M: int, alpha0: float, phi0: float) -> Constellation:
         raise ValueError(f"ring amplitude alpha0 must lie in (0, 1], got {alpha0!r}")
     if not (0.0 <= phi0 < TWO_PI / M):
         raise ValueError(f"base phase {phi0!r} outside [0, 2pi/M) for M = {M}")
-    pts = tuple(alpha0 * cmath.exp(1j * (phi0 + TWO_PI * m / M)) for m in range(M))
-    return Constellation(points=pts, kind="mpsk", order=M,
-                         base_phase=float(phi0), amplitude=float(alpha0))
+    return Constellation(points=tuple(mpsk_points(M, alpha0, phi0).tolist()))
 
 
 def explicit_constellation(points) -> Constellation:
-    pts = tuple(complex(p) for p in points)
-    return Constellation(points=pts, kind="explicit", order=len(pts))
-
-
-def avg_power(c: Constellation) -> float:
-    """Mean squared amplitude (1/M) sum |Gamma_m|^2."""
-    return math.fsum(abs(p) ** 2 for p in c.points) / c.order
+    return Constellation(points=tuple(complex(p) for p in points))
 
 
 def equal_power_psk_amplitude(M: int) -> float:

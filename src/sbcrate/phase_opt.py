@@ -1,4 +1,4 @@
-"""Closed-form phase optimization of the primary rate, with a grid oracle.
+"""Closed-form phase optimization of the primary rate.
 
 The device rate is invariant to the base phase, so the constrained problems
 (maximize the primary rate subject to a minimum device rate) reduce to a
@@ -13,14 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 from .bd_rate import bd_rate
 from .channel import TWO_PI, ChannelTriple, SystemParams, _wrap_phase
-from .constellation import (_check_order, equal_power_psk_amplitude, mask_constellation,
-                            mpsk_constellation)
+from .constellation import _check_order, mask_constellation, mpsk_constellation
 from .pt_rate import psk_optimal_offset, pt_rate_finite
 
 
@@ -41,11 +37,6 @@ class PhaseOptProblem:
             raise ValueError("mpsk problems need a ring amplitude alpha0")
         if self.min_bd_rate_bits < 0.0:
             raise ValueError("min_bd_rate_bits must be >= 0")
-
-    def resolved_alpha0(self) -> float:
-        if self.scheme == "mask":
-            return 1.0
-        return self.alpha0 if self.alpha0 is not None else equal_power_psk_amplitude(self.order)
 
 
 @dataclass(frozen=True)
@@ -84,26 +75,6 @@ def optimal_phase_psk(theta0: float, M: int) -> PhaseSolution:
     return PhaseSolution(phase_rad=phase, wrap_index=int(eta))
 
 
-def grid_search_phase(objective: Callable, lo: float, hi: float,
-                      points: int) -> tuple[float, float]:
-    """Argmax of the objective over a uniform grid on [lo, hi).
-
-    The grid includes `lo` and excludes `hi`; ties break toward the smaller
-    phase.  The objective takes the array of grid phases and returns one value
-    per phase.
-    """
-    if points < 3:
-        raise ValueError(f"grid needs at least 3 points, got {points!r}")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got lo={lo!r} hi={hi!r}")
-    grid = np.linspace(lo, hi, points, endpoint=False)
-    vals = np.asarray(objective(grid), dtype=float)
-    if vals.shape != grid.shape:
-        raise ValueError(f"objective returned shape {vals.shape}, expected {grid.shape}")
-    best = int(np.argmax(vals))  # argmax takes the first maximum: smaller phase
-    return float(grid[best]), float(vals[best])
-
-
 def check_feasibility(problem: PhaseOptProblem, sys: SystemParams,
                       ch: ChannelTriple) -> bool:
     """Whether the device-rate floor is met; one evaluation suffices.
@@ -118,7 +89,7 @@ def check_feasibility(problem: PhaseOptProblem, sys: SystemParams,
     if problem.scheme == "mask":
         c = mask_constellation(problem.order, 0.0)
     else:
-        c = mpsk_constellation(problem.order, problem.resolved_alpha0(), 0.0)
+        c = mpsk_constellation(problem.order, problem.alpha0, 0.0)
     return bd_rate(sys, ch, c).value_bits >= problem.min_bd_rate_bits
 
 
@@ -135,7 +106,7 @@ def solve_phase_problem(problem: PhaseOptProblem, sys: SystemParams,
         c = mask_constellation(problem.order, sol.phase_rad)
     else:
         sol = optimal_phase_psk(theta0, problem.order)
-        c = mpsk_constellation(problem.order, problem.resolved_alpha0(), sol.phase_rad)
+        c = mpsk_constellation(problem.order, problem.alpha0, sol.phase_rad)
     return PhaseSolution(
         phase_rad=sol.phase_rad,
         wrap_index=sol.wrap_index,

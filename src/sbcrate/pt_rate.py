@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import TWO_PI, ChannelTriple, SystemParams
-from .constellation import Constellation, _check_order
+from .channel import ChannelTriple, SystemParams
+from .constellation import Constellation, _check_order, mask_points, mpsk_points
 
 _LN2 = math.log(2.0)
 
@@ -193,24 +193,13 @@ def psk_optimal_offset(M: int) -> float:
     return math.pi / M if M % 2 == 0 else 0.0
 
 
-def _mask_amplitudes(M: int) -> np.ndarray:
-    """The M amplitude-keyed levels on [0, 1]; at the optimum they align with the channel."""
-    _check_order(M)
-    return np.arange(M) / (M - 1)
-
-
-def _psk_optimum_points(M: int, alpha0: float) -> np.ndarray:
-    """Phase-keyed points at the optimum, relative to the composite channel phase."""
-    return alpha0 * np.exp(1j * (psk_optimal_offset(M) + TWO_PI * np.arange(M) / M))
-
-
 def max_pt_rate_ask(sys: SystemParams, ch: ChannelTriple, M: int) -> float:
     """Finite-order amplitude-keyed rate at the rate-maximizing common phase.
 
     At the optimum every term aligns constructively:
     (1/M) sum log2(1 + P(|h1| + (m-1)/(M-1) |h2||h3|)^2 / sigma^2).
     """
-    return float(_rate_bits(sys.snr_scale, ch.a1, ch.a23, _mask_amplitudes(M)))
+    return float(_rate_bits(sys.snr_scale, ch.a1, ch.a23, mask_points(M, 0.0)))
 
 
 def max_pt_rate_psk(sys: SystemParams, ch: ChannelTriple, M: int, alpha0: float) -> float:
@@ -219,21 +208,19 @@ def max_pt_rate_psk(sys: SystemParams, ch: ChannelTriple, M: int, alpha0: float)
     The symbols sit at psk_optimal_offset(M) + 2pi(m-1)/M relative to the
     composite channel phase.
     """
-    return float(_rate_bits(sys.snr_scale, ch.a1, ch.a23, _psk_optimum_points(M, alpha0)))
+    points = mpsk_points(M, alpha0, psk_optimal_offset(M))
+    return float(_rate_bits(sys.snr_scale, ch.a1, ch.a23, points))
 
 
 def mask_rate_curve(sys: SystemParams, ch: ChannelTriple, M: int,
                     phases: np.ndarray) -> np.ndarray:
     """Finite-order amplitude-keyed rate evaluated at an array of common phases."""
-    phases = np.atleast_1d(np.asarray(phases, dtype=float))
-    gammas = _mask_amplitudes(M) * np.exp(1j * phases[:, None])
+    gammas = mask_points(M, np.atleast_1d(phases))
     return _rate_bits(sys.snr_scale, ch.h1, ch.h2 * ch.h3, gammas)
 
 
 def mpsk_rate_curve(sys: SystemParams, ch: ChannelTriple, M: int, alpha0: float,
                     phases: np.ndarray) -> np.ndarray:
     """Finite-order phase-keyed rate evaluated at an array of base phases."""
-    _check_order(M)
-    phases = np.atleast_1d(np.asarray(phases, dtype=float))
-    gammas = alpha0 * np.exp(1j * (phases[:, None] + TWO_PI * np.arange(M) / M))
+    gammas = mpsk_points(M, alpha0, np.atleast_1d(phases))
     return _rate_bits(sys.snr_scale, ch.h1, ch.h2 * ch.h3, gammas)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -87,7 +88,7 @@ class SweepSpec:
         if self.variable not in ("base_phase", "channel_ratio", "order"):
             raise ScenarioError(f"sweep.variable must be one of base_phase, "
                                 f"channel_ratio, order; got {self.variable!r}")
-        if not (isinstance(self.steps, int) and self.steps >= 1):
+        if isinstance(self.steps, bool) or not (isinstance(self.steps, int) and self.steps >= 1):
             raise ScenarioError(f"sweep.steps must be an integer >= 1, got {self.steps!r}")
 
 
@@ -156,12 +157,17 @@ def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
             raise ScenarioError(f"unknown key '{where}.{key}'")
 
 
-def _number(section: dict, key: str, where: str) -> float:
-    """section[key] as a float; a missing key raises KeyError for the caller to name."""
-    value = section[key]
+def _number(value, name: str) -> float:
+    """A scenario value as a finite float; anything else raises, naming the key."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+        raise ScenarioError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def _pick_linear(section: dict, name: str, log_name: str, to_linear, where: str) -> float:
@@ -170,17 +176,19 @@ def _pick_linear(section: dict, name: str, log_name: str, to_linear, where: str)
     if lin is not None and log is not None:
         raise ScenarioError(f"{where}.{name} and {where}.{log_name} are mutually exclusive")
     if log is not None:
-        return to_linear(_number(section, log_name, where))
+        try:
+            return to_linear(_number(log, f"{where}.{log_name}"))
+        except OverflowError:
+            raise ScenarioError(f"{where}.{log_name} = {log!r} overflows in linear units") from None
     if lin is None:
         raise ScenarioError(f"missing key {where}.{name} (or {where}.{log_name})")
-    return _number(section, name, where)
+    return _number(lin, f"{where}.{name}")
 
 
 def _parse_complex(value, where: str) -> complex:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) for v in value)):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ScenarioError(f"{where} must be a [re, im] pair, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    return complex(_number(value[0], f"{where}[0]"), _number(value[1], f"{where}[1]"))
 
 
 def parse_scenario(raw: dict) -> Scenario:
@@ -199,7 +207,7 @@ def parse_scenario(raw: dict) -> Scenario:
     try:
         model = PathLossModel(**{
             k: (_pick_linear(pl, k, f"{k}_db", db_to_linear, "pathloss") if k in gains
-                else _number(pl, k, "pathloss"))
+                else _number(pl[k], f"pathloss.{k}"))
             for k in _PATHLOSS_KEYS})
     except ScenarioError:
         raise
@@ -232,7 +240,7 @@ def parse_scenario(raw: dict) -> Scenario:
         spread = sy.get("spread", 128)
         if not isinstance(spread, int) or isinstance(spread, bool):
             raise ScenarioError(f"system.spread must be an integer, got {spread!r}")
-        system = SystemParams(power_w=_number(sy, "power_w", "system"), noise_w=noise_w,
+        system = SystemParams(power_w=_number(sy["power_w"], "system.power_w"), noise_w=noise_w,
                               spread=spread)
     except ScenarioError:
         raise
@@ -252,10 +260,7 @@ def parse_scenario(raw: dict) -> Scenario:
         raise ScenarioError(f"modulation.order must be an integer >= 2, got {order!r}")
     amplitude = mo.get("amplitude")
     if amplitude is not None and amplitude != "equal-power":
-        if not isinstance(amplitude, (int, float)):
-            raise ScenarioError(f"modulation.amplitude must be a number or 'equal-power', "
-                                f"got {amplitude!r}")
-        amplitude = float(amplitude)
+        amplitude = _number(amplitude, "modulation.amplitude")
         # Zero is allowed as the degenerate silent-device case.
         if not (0.0 <= amplitude <= 1.0):
             raise ScenarioError(f"modulation.amplitude must lie in [0, 1], got {amplitude!r}")
@@ -265,16 +270,13 @@ def parse_scenario(raw: dict) -> Scenario:
     if base_phase == "optimal":
         base_phase = None
     else:
-        if not isinstance(base_phase, (int, float)):
-            raise ScenarioError(f"modulation.base_phase must be a number or 'optimal', "
-                                f"got {base_phase!r}")
-        base_phase = float(base_phase)
+        base_phase = _number(base_phase, "modulation.base_phase")
         limit = TWO_PI if scheme == "mask" else TWO_PI / order
         if not (0.0 <= base_phase < limit):
             raise ScenarioError(f"modulation.base_phase {base_phase!r} outside [0, {limit:g}) "
                                 f"for scheme {scheme!r} order {order}")
-    min_bd = mo.get("min_bd_rate_bits", 0.0)
-    if not isinstance(min_bd, (int, float)) or min_bd < 0:
+    min_bd = _number(mo.get("min_bd_rate_bits", 0.0), "modulation.min_bd_rate_bits")
+    if min_bd < 0:
         raise ScenarioError(f"modulation.min_bd_rate_bits must be >= 0, got {min_bd!r}")
 
     sweep = None
@@ -285,8 +287,8 @@ def parse_scenario(raw: dict) -> Scenario:
             sweep = SweepSpec(
                 variable=sw["variable"],
                 steps=sw["steps"],
-                lo=(_number(sw, "lo", "sweep") if "lo" in sw else None),
-                hi=(_number(sw, "hi", "sweep") if "hi" in sw else None),
+                lo=(_number(sw["lo"], "sweep.lo") if "lo" in sw else None),
+                hi=(_number(sw["hi"], "sweep.hi") if "hi" in sw else None),
             )
         except KeyError as exc:
             raise ScenarioError(f"missing key 'sweep.{exc.args[0]}'") from None
@@ -305,7 +307,7 @@ def parse_scenario(raw: dict) -> Scenario:
         order=order,
         amplitude=amplitude,
         base_phase=base_phase,
-        min_bd_rate_bits=float(min_bd),
+        min_bd_rate_bits=min_bd,
         sweep=sweep,
         seed=seed,
     )

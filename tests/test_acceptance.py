@@ -16,11 +16,12 @@ from sbcrate.channel import ChannelTriple, SystemParams
 from sbcrate.cli import main as cli_main
 from sbcrate.constellation import mask_constellation, mpsk_constellation
 from sbcrate.link_sim import RngSpec, empirical_bd_mi, sic_mrc_receiver, simulate_block
-from sbcrate.phase_opt import grid_search_phase, optimal_phase_ask, optimal_phase_psk
+from sbcrate.phase_opt import optimal_phase_ask, optimal_phase_psk
 from sbcrate.pt_rate import (mask_rate_curve, mpsk_rate_curve, pt_rate_ask_infinite,
                              pt_rate_finite, pt_rate_no_bd, pt_rate_psk_infinite)
 
 from .conftest import channel_from_polar
+from .grid_oracle import grid_search_phase
 
 TWO_PI = 2.0 * math.pi
 SECTION_V_SYS = SystemParams(power_w=0.05, noise_w=1e-13, spread=128)

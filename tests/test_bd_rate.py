@@ -12,8 +12,7 @@ from sbcrate.bd_rate import (_KERNEL_BLOCK, DEFAULT_MI_TOL, MrcStatistics, Preci
                              _log_ratio_bits, bd_rate, mi_monte_carlo, mi_quadrature,
                              mrc_statistics)
 from sbcrate.channel import SystemParams
-from sbcrate.constellation import (Constellation, explicit_constellation, mask_constellation,
-                                   mpsk_constellation)
+from sbcrate.constellation import explicit_constellation, mask_constellation, mpsk_constellation
 
 from .conftest import channel_from_polar
 
@@ -221,7 +220,7 @@ class TestMiQuadrature:
         for c, stats, points, conditioned in cases:
             est = mi_quadrature(c, stats, node_schedule=(nodes, nodes))
             ref = tensor_mi_oracle(points, stats.gain, stats.noise_var, nodes, conditioned)
-            assert abs(est.value_bits - ref) <= 1e-12, (c.kind, c.order, stats)
+            assert abs(est.value_bits - ref) <= 1e-12, (c.points, stats)
 
     def test_mask_matches_adaptive_integral(self):
         # The phase is off every axis, where the tensor rule converged slowest.
@@ -267,16 +266,16 @@ class TestMiQuadrature:
 
     def test_rotation_symmetry_is_read_from_the_points(self, kernel_entries):
         stats = MrcStatistics(40.0, 40.0)
-        ring = mpsk_constellation(8, 0.9, 0.1).rotated(0.3)  # an explicit set
+        rot = np.exp(0.3j)
+        ring = explicit_constellation([p * rot for p in mpsk_constellation(8, 0.9, 0.1).points])
         mi_quadrature(ring, stats)
         assert kernel_entries
         assert all(entries == 8 * nodes**2 for nodes, entries in kernel_entries)
-        # A label alone does not buy the one-term reduction.
-        points = (0.9 + 0j, 0.5j, -0.3 - 0.4j)
+        # Three points off any equally spaced ring keep every conditioned term.
         kernel_entries.clear()
-        labelled = mi_quadrature(Constellation(points=points, kind="mpsk", order=3), stats)
+        mi_quadrature(explicit_constellation([0.9 + 0j, 0.5j, -0.3 - 0.4j]), stats)
+        assert kernel_entries
         assert all(entries == 3 * 3 * nodes**2 for nodes, entries in kernel_entries)
-        assert labelled == mi_quadrature(explicit_constellation(points), stats)
 
     @pytest.mark.parametrize("scheme", ["mask", "mpsk"])
     def test_work_per_level_follows_structure(self, kernel_entries, scheme):

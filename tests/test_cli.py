@@ -75,6 +75,17 @@ class TestRateCommand:
             ("pathloss.d1_m=null", "pathloss.d1_m must be a number, got None"),
             ("system.power_w=null", "system.power_w must be a number, got None"),
             ("sweep.lo=null", "sweep.lo must be a number, got None"),
+            # Booleans are not numbers, and every number must be finite.
+            ("modulation.min_bd_rate_bits=NaN",
+             "modulation.min_bd_rate_bits must be finite, got nan"),
+            ("modulation.base_phase=true", "modulation.base_phase must be a number, got True"),
+            ('modulation={"scheme":"mpsk","order":4,"amplitude":true}',
+             "modulation.amplitude must be a number, got True"),
+            ("fading.l1=[true,0]", "fading.l1[0] must be a number, got True"),
+            ("sweep.hi=Infinity", "sweep.hi must be finite, got inf"),
+            ("sweep.steps=true", "sweep.steps must be an integer >= 1, got True"),
+            (f"pathloss.d2_m={10**400}", f"pathloss.d2_m must be finite, got {10**400}"),
+            ("pathloss.gain_pt_db=5000", "pathloss.gain_pt_db = 5000 overflows in linear units"),
         ]])
     def test_malformed_scenario_names_key_and_exits_2(self, tmp_path, capsys, override,
                                                       message):
@@ -153,6 +164,27 @@ class TestRatioSweep:
         above = [r for r in rows if float(r[0]) > r0 * 1.05]
         assert all(float(r[2]) > float(r[1]) for r in below)
         assert all(float(r[1]) > float(r[2]) for r in above)
+
+    def test_bisection_reaches_float_resolution_in_a_wide_cell(self, tmp_path):
+        r0 = {}
+        for hi, steps in ((1.5, 60), (1e12, 2)):
+            scn = write_scenario_file(tmp_path, [
+                f'sweep={{"variable":"channel_ratio","lo":0.05,"hi":{hi},"steps":{steps}}}',
+            ])
+            code, text = run_cli(tmp_path, "ratio-sweep", "--scenario", str(scn))
+            assert code == 0 and "sign_changes=1" in text
+            r0[steps] = float(text.split("crossing_ratio_r0=")[1])
+        assert r0[2] == pytest.approx(r0[60], abs=1e-15)
+
+    def test_overflowing_rates_exit_2_and_name_the_ratio(self, tmp_path, capsys):
+        # inf - inf is NaN, which must not count as a sign change.
+        scn = write_scenario_file(tmp_path, [
+            'sweep={"variable":"channel_ratio","lo":0.02,"hi":1e308,"steps":5}',
+        ])
+        code, text = run_cli(tmp_path, "ratio-sweep", "--scenario", str(scn))
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == ("scenario error: ratio-sweep rates overflow at "
+                                           "ratio 2.5e+307; lower sweep.hi\n")
 
     def test_range_validation(self, tmp_path):
         scn = write_scenario_file(tmp_path, [
