@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys as _sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +20,11 @@ import numpy as np
 from .bd_rate import PrecisionError, bd_rate, mi_monte_carlo, mrc_statistics, mi_quadrature
 from .channel import TWO_PI
 from .constellation import equal_power_psk_amplitude, mask_points, mpsk_points
-from .phase_opt import PhaseOptProblem, optimal_phase_ask, optimal_phase_psk, solve_phase_problem
+from .phase_opt import optimal_phase_psk
 from .pt_rate import (_rate_bits, mask_rate_curve, max_pt_rate_ask, max_pt_rate_psk,
-                      mpsk_rate_curve, psk_optimal_offset, pt_rate_no_bd, pt_rate_psk_infinite,
-                      rate_gain)
-from .scenario import Scenario, ScenarioError, load_scenario, scenario_hash
+                      mpsk_rate_curve, psk_optimal_offset, pt_rate_finite, pt_rate_no_bd,
+                      pt_rate_psk_infinite, rate_gain)
+from .scenario import Scenario, ScenarioError, base_phase_period, load_scenario, scenario_hash
 
 #: Equal-power ring amplitude in the infinite-order limit of the amplitude grid.
 _EQUAL_POWER_LIMIT = math.sqrt(1.0 / 3.0)
@@ -54,7 +55,7 @@ def cmd_phase_sweep(scn: Scenario, args) -> list[str]:
         raise ScenarioError("phase-sweep needs sweep.variable = 'base_phase'")
     sy, ch = scn.system, scn.channel()
     M = scn.order
-    limit = TWO_PI if scn.scheme == "mask" else TWO_PI / M
+    limit = base_phase_period(scn.scheme, M)
     lo = scn.sweep.lo if scn.sweep.lo is not None else 0.0
     hi = scn.sweep.hi if scn.sweep.hi is not None else limit
     if not (0.0 <= lo < hi <= limit):
@@ -65,14 +66,13 @@ def cmd_phase_sweep(scn: Scenario, args) -> list[str]:
         raise ScenarioError("phase-sweep needs sweep.steps (or --grid)")
     grid = np.linspace(lo, hi, steps, endpoint=False)
     no_bd = pt_rate_no_bd(sy, ch)
+    sol = scn.optimal_phase(ch)
     if scn.scheme == "mask":
         rates = mask_rate_curve(sy, ch, M, grid)
-        sol = optimal_phase_ask(ch.theta0)
         best = max_pt_rate_ask(sy, ch, M)
     else:
         alpha0 = scn.resolved_alpha0()
         rates = mpsk_rate_curve(sy, ch, M, alpha0, grid)
-        sol = optimal_phase_psk(ch.theta0, M)
         best = max_pt_rate_psk(sy, ch, M, alpha0)
     lines = _meta(scn, "phase-sweep")
     lines.append(f"# scheme={scn.scheme} order={M}")
@@ -124,14 +124,17 @@ def cmd_ratio_sweep(scn: Scenario, args) -> list[str]:
     for i in brackets:
         a, b = float(grid[i]), float(grid[i + 1])
         fa = diffs[i]
+        # A cell ending on an exact zero reaches a plateau where both rates
+        # round alike; zeros inside it are not roots, so shrink toward a.
+        plateau = diffs[i + 1] == 0.0
         mid = 0.5 * (a + b)
         while a < mid < b:  # bisect until the cell holds no float between its ends
             ask, psk = optima(mid)
             fm = float(ask - psk)
-            if fm == 0.0:
+            if fm == 0.0 and not plateau:
                 a = b = mid
                 break
-            if (fm > 0) == (fa > 0):
+            if fm != 0.0 and (fm > 0) == (fa > 0):
                 a, fa = mid, fm
             else:
                 b = mid
@@ -181,17 +184,16 @@ def cmd_order_sweep(scn: Scenario, args) -> list[str]:
 
 def cmd_optimize(scn: Scenario, args) -> list[str]:
     sy, ch = scn.system, scn.channel()
-    problem = PhaseOptProblem(
-        scheme=scn.scheme,
-        order=scn.order,
-        alpha0=(scn.resolved_alpha0() if scn.scheme == "mpsk" else None),
-        min_bd_rate_bits=scn.min_bd_rate_bits,
-    )
-    sol = solve_phase_problem(problem, sy, ch)
+    sol = scn.optimal_phase(ch)
+    c = replace(scn, base_phase=None).build_constellation(ch)
+    floor = scn.min_bd_rate_bits
+    # The device rate does not depend on the base phase: one evaluation settles the floor.
+    feasible = floor == 0.0 or (floor <= math.log2(scn.order)
+                                and bd_rate(sy, ch, c).value_bits >= floor)
     return [f"scheme={scn.scheme} order={scn.order} "
             f"optimal_phase_rad={_fmt(sol.phase_rad)} "
-            f"achieved_pt_rate_bits={_fmt(sol.achieved_pt_rate)} "
-            f"feasible={str(sol.feasible).lower()} wrap_index={sol.wrap_index}"]
+            f"achieved_pt_rate_bits={_fmt(pt_rate_finite(sy, ch, c))} "
+            f"feasible={str(feasible).lower()} wrap_index={sol.wrap_index}"]
 
 
 def cmd_mi(scn: Scenario, args) -> list[str]:

@@ -61,114 +61,63 @@ def rate_gain(sys: SystemParams, ch: ChannelTriple, c: Constellation) -> RateRep
 # Infinite-order amplitude keying
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AskAsymptoticCoefficients:
-    """Quadratic-in-amplitude SNR coefficients for the continuous amplitude limit.
+def pt_rate_ask_infinite(sys: SystemParams, ch: ChannelTriple, phi0: float) -> float:
+    """Infinite-order amplitude-keyed rate at common phase phi0.
 
-    The integrand is log2(c1 + c2*a + c3*a^2) for a in [0, 1].  `delta` is
-    c1*c3 - (c2/2)^2 > 0; it is carried explicitly because the product form
-    cancels catastrophically in floating point when cos(theta0 + phi0) is
-    near +-1, whereas c3*((c1-1)*sin^2 + 1) does not.
+    The continuous-amplitude average of log2(c1 + c2 a + c3 a^2) over a in
+    [0, 1], with b = P|h1|^2/sigma^2, c1 = 1 + b, c3 = P|h2 h3|^2/sigma^2 and
+    c2 = 2 sqrt(b c3) cos(psi), psi = theta0 + phi0.  Derived by integration
+    by parts plus the standard rational-quadratic antiderivative.  The arctan
+    difference is folded into a single atan2(sqrt(delta), c1 + c2/2), which
+    is continuous for delta = c1 c3 - (c2/2)^2 > 0, so no branch selection
+    arises anywhere in the parameter space.  delta is formed as
+    c3 (b sin^2 psi + 1), since the product form cancels catastrophically
+    when cos(psi) is near +-1.
     """
-
-    c1: float
-    c2: float
-    c3: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if self.c1 < 1.0 - 1e-12:
-            raise ValueError(f"c1 must be >= 1, got {self.c1!r}")
-        if self.c3 <= 0.0:
-            raise ValueError("degenerate backscatter path: c3 must be > 0 "
-                             "(use pt_rate_no_bd when |h2||h3| = 0)")
-        if self.delta <= 0.0:
-            raise ValueError(f"c1*c3 - (c2/2)^2 must be > 0, got {self.delta!r}")
-
-    @classmethod
-    def from_link(cls, sys: SystemParams, ch: ChannelTriple,
-                  phi0: float) -> "AskAsymptoticCoefficients":
-        rho = sys.snr_scale
-        b = rho * ch.a1**2
-        c3 = rho * ch.a23**2
-        if c3 <= 0.0:
-            raise ValueError("degenerate backscatter path: |h2||h3| must be > 0")
-        psi = (ch.theta0 + phi0) if ch.a1 > 0.0 else 0.0
-        cos_psi = math.cos(psi)
-        c2 = 2.0 * math.sqrt(b * c3) * cos_psi
-        delta = c3 * (b * math.sin(psi) ** 2 + 1.0)
-        return cls(c1=1.0 + b, c2=c2, c3=c3, delta=delta)
-
-
-def ask_infinite_rate(coef: AskAsymptoticCoefficients) -> float:
-    """Closed form of the continuous-amplitude average of log2(c1 + c2 a + c3 a^2).
-
-    Derived by integration by parts plus the standard rational-quadratic
-    antiderivative.  The arctan difference is folded into a single
-    atan2(sqrt(delta), c1 + c2/2), which is continuous for delta > 0, so no
-    branch selection arises anywhere in the parameter space.
-    """
-    c1, c2, c3, delta = coef.c1, coef.c2, coef.c3, coef.delta
-    b = c1 - 1.0
-    rootd = math.sqrt(delta)
+    rho = sys.snr_scale
+    b = rho * ch.a1**2
+    c3 = rho * ch.a23**2
+    if c3 <= 0.0:
+        raise ValueError("degenerate backscatter path: |h2||h3| must be > 0 "
+                         "(use pt_rate_no_bd when |h2||h3| = 0)")
+    psi = (ch.theta0 + phi0) if ch.a1 > 0.0 else 0.0
+    c1 = 1.0 + b
+    c2 = 2.0 * math.sqrt(b * c3) * math.cos(psi)
+    rootd = math.sqrt(c3 * (b * math.sin(psi) ** 2 + 1.0))
+    b = c1 - 1.0  # the b that c1 = 1 + b holds after rounding
     # S - 1 as a sum of two non-negative pieces, (sqrt(b) - sqrt(c3))^2 and
     # 2 sqrt(b c3) (1 + cos psi); the plain S = c1 + c2 + c3 cancels when
     # cos(psi) ~ -1 and b ~ c3.
     s1 = (math.sqrt(b) - math.sqrt(c3)) ** 2 + (2.0 * math.sqrt(b * c3) + c2)
     term_log = math.log1p(s1)
-    term_ratio = (c2 / (2.0 * c3)) * math.log1p((c3 + c2) / c1)
+    ratio = (c3 + c2) / c1
+    # 1 + ratio = (1 + s1) / c1; near -1 the ratio has lost its low bits.
+    log_ratio = math.log1p(ratio) if ratio > -0.5 else term_log - math.log1p(b)
+    term_ratio = (c2 / (2.0 * c3)) * log_ratio
     term_atan = (2.0 * rootd / c3) * math.atan2(rootd, c1 + 0.5 * c2)
     return (term_log - 2.0 + term_ratio + term_atan) / _LN2
-
-
-def pt_rate_ask_infinite(sys: SystemParams, ch: ChannelTriple, phi0: float) -> float:
-    """Infinite-order amplitude-keyed rate at common phase phi0."""
-    return ask_infinite_rate(AskAsymptoticCoefficients.from_link(sys, ch, phi0))
 
 
 # ---------------------------------------------------------------------------
 # Infinite-order phase keying
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PskAsymptoticCoefficients:
-    """Coefficients of the continuous-phase average log2(d1 + d2 cos(u)).
-
-    d1 - d2 = 1 + P(|h1| - |h2 h3| alpha0)^2 / sigma^2 > 0 always holds, so
-    the closed form never leaves its domain.
-    """
-
-    d1: float
-    d2: float
-
-    def __post_init__(self) -> None:
-        if self.d2 < 0.0:
-            raise ValueError(f"d2 must be >= 0, got {self.d2!r}")
-        if self.d1 <= self.d2:
-            raise ValueError(f"d1 must exceed d2, got d1={self.d1!r} d2={self.d2!r}")
-
-    @classmethod
-    def from_link(cls, sys: SystemParams, ch: ChannelTriple,
-                  alpha0: float) -> "PskAsymptoticCoefficients":
-        if not (0.0 <= alpha0 <= 1.0):
-            raise ValueError(f"ring amplitude alpha0 must lie in [0, 1], got {alpha0!r}")
-        rho = sys.snr_scale
-        d1 = 1.0 + rho * (ch.a1**2 + (ch.a23 * alpha0) ** 2)
-        d2 = 2.0 * rho * ch.a1 * ch.a23 * alpha0
-        return cls(d1=d1, d2=d2)
-
-
 def pt_rate_psk_infinite(sys: SystemParams, ch: ChannelTriple, alpha0: float) -> float:
     """Infinite-order phase-keyed rate log2((d1 + sqrt(d1^2 - d2^2)) / 2).
 
-    Independent of any base phase by construction: the continuous-phase
-    average integrates the phase out entirely.
+    The continuous-phase average of log2(d1 + d2 cos u), with
+    d1 = 1 + P(|h1|^2 + |h2 h3|^2 alpha0^2)/sigma^2 and
+    d2 = 2P|h1||h2 h3| alpha0/sigma^2.  Independent of any base phase by
+    construction: the average integrates the phase out entirely.
     """
-    coef = PskAsymptoticCoefficients.from_link(sys, ch, alpha0)
-    d1, d2 = coef.d1, coef.d2
-    # (d1 - d2)(d1 + d2) avoids the cancellation of d1^2 - d2^2 when the
-    # direct and backscatter amplitudes nearly coincide.
+    if not (0.0 <= alpha0 <= 1.0):
+        raise ValueError(f"ring amplitude alpha0 must lie in [0, 1], got {alpha0!r}")
     rho = sys.snr_scale
+    d1 = 1.0 + rho * (ch.a1**2 + (ch.a23 * alpha0) ** 2)
+    d2 = 2.0 * rho * ch.a1 * ch.a23 * alpha0
+    # d1 - d2 = 1 + P(|h1| - |h2 h3| alpha0)^2/sigma^2 >= 1, formed directly:
+    # the difference of the rounded d1 and d2 cancels, and can even turn
+    # negative, when the direct and backscatter amplitudes nearly coincide.
     d1_minus_d2 = 1.0 + rho * (ch.a1 - ch.a23 * alpha0) ** 2
     root = math.sqrt(d1_minus_d2 * (d1 + d2))
     return math.log2(0.5 * (d1 + root))

@@ -20,7 +20,7 @@ from pathlib import Path
 from .channel import TWO_PI, ChannelTriple, PathLossModel, SystemParams, channel_from_path_loss
 from .constellation import (Constellation, equal_power_psk_amplitude, explicit_constellation,
                             mask_constellation, mpsk_constellation)
-from .phase_opt import optimal_phase_ask, optimal_phase_psk
+from .phase_opt import PhaseSolution, optimal_phase_ask, optimal_phase_psk
 
 
 class ScenarioError(ValueError):
@@ -33,6 +33,11 @@ def db_to_linear(db: float) -> float:
 
 def dbm_to_watt(dbm: float) -> float:
     return 1e-3 * 10.0 ** (dbm / 10.0)
+
+
+def base_phase_period(scheme: str, order: int) -> float:
+    """Period of the rate in the base phase: 2pi for mask, one symbol spacing for mpsk."""
+    return TWO_PI if scheme == "mask" else TWO_PI / order
 
 
 #: Section V operating point: carrier wavelength 0.33 m, exponent 3.5,
@@ -127,21 +132,21 @@ class Scenario:
             return self.amplitude
         return equal_power_psk_amplitude(order or self.order)
 
-    def resolved_base_phase(self, ch: ChannelTriple) -> float:
-        """The given base phase, or the closed-form optimum when none is given."""
-        if self.base_phase is not None:
-            return self.base_phase
+    def optimal_phase(self, ch: ChannelTriple) -> PhaseSolution:
+        """The closed-form rate-maximizing base phase for this scheme and order."""
         if self.scheme == "mask":
-            return optimal_phase_ask(ch.theta0).phase_rad
-        return optimal_phase_psk(ch.theta0, self.order).phase_rad
+            return optimal_phase_ask(ch.theta0)
+        return optimal_phase_psk(ch.theta0, self.order)
 
     def build_constellation(self, ch: ChannelTriple) -> Constellation:
+        """The scenario's symbols at its base phase, or at the optimum when none is given."""
         if self.scheme == "mpsk" and self.resolved_alpha0() == 0.0:
             # Zero ring amplitude: a silent device, phase immaterial.
             return explicit_constellation([0j] * self.order)
+        phase = self.optimal_phase(ch).phase_rad if self.base_phase is None else self.base_phase
         if self.scheme == "mask":
-            return mask_constellation(self.order, self.resolved_base_phase(ch))
-        return mpsk_constellation(self.order, self.resolved_alpha0(), self.resolved_base_phase(ch))
+            return mask_constellation(self.order, phase)
+        return mpsk_constellation(self.order, self.resolved_alpha0(), phase)
 
 
 #: Path-loss keys, in file order; the `gain_*` keys also accept a `_db` form.
@@ -271,7 +276,7 @@ def parse_scenario(raw: dict) -> Scenario:
         base_phase = None
     else:
         base_phase = _number(base_phase, "modulation.base_phase")
-        limit = TWO_PI if scheme == "mask" else TWO_PI / order
+        limit = base_phase_period(scheme, order)
         if not (0.0 <= base_phase < limit):
             raise ScenarioError(f"modulation.base_phase {base_phase!r} outside [0, {limit:g}) "
                                 f"for scheme {scheme!r} order {order}")

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from sbcrate.cli import main
-from sbcrate.scenario import DEFAULT_SCENARIO, apply_overrides
+from sbcrate.scenario import DEFAULT_SCENARIO, apply_overrides, load_scenario
 
 
 def run_cli(tmp_path, *argv: str, name: str = "out.csv") -> tuple[int, str]:
@@ -86,6 +86,8 @@ class TestRateCommand:
             ("sweep.steps=true", "sweep.steps must be an integer >= 1, got True"),
             (f"pathloss.d2_m={10**400}", f"pathloss.d2_m must be finite, got {10**400}"),
             ("pathloss.gain_pt_db=5000", "pathloss.gain_pt_db = 5000 overflows in linear units"),
+            ("modulation.scheme=qam", "modulation.scheme must be 'mask' or 'mpsk', got 'qam'"),
+            ("modulation.order=1", "modulation.order must be an integer >= 2, got 1"),
         ]])
     def test_malformed_scenario_names_key_and_exits_2(self, tmp_path, capsys, override,
                                                       message):
@@ -166,15 +168,17 @@ class TestRatioSweep:
         assert all(float(r[1]) > float(r[2]) for r in above)
 
     def test_bisection_reaches_float_resolution_in_a_wide_cell(self, tmp_path):
-        r0 = {}
-        for hi, steps in ((1.5, 60), (1e12, 2)):
+        # Above about 2e14 both optimal rates round alike: a cell reaching
+        # 1e30 ends on that plateau, whose exact zeros are not crossings.
+        r0 = []
+        for hi, steps in ((1.5, 60), (1e12, 2), (1e30, 60), (1e30, 2)):
             scn = write_scenario_file(tmp_path, [
                 f'sweep={{"variable":"channel_ratio","lo":0.05,"hi":{hi},"steps":{steps}}}',
             ])
             code, text = run_cli(tmp_path, "ratio-sweep", "--scenario", str(scn))
             assert code == 0 and "sign_changes=1" in text
-            r0[steps] = float(text.split("crossing_ratio_r0=")[1])
-        assert r0[2] == pytest.approx(r0[60], abs=1e-15)
+            r0.append(float(text.split("crossing_ratio_r0=")[1]))
+        assert r0[1:] == pytest.approx([r0[0]] * 3, abs=1e-15)
 
     def test_overflowing_rates_exit_2_and_name_the_ratio(self, tmp_path, capsys):
         # inf - inf is NaN, which must not count as a sign change.
@@ -224,6 +228,41 @@ class TestOrderSweep:
         _, rate_rows, _ = parse_csv(rate_text)
         assert float(rows[0][1]) == pytest.approx(float(rate_rows[0][0]), rel=1e-13)
 
+    def test_near_cancelling_paths_give_the_infinite_rate(self, tmp_path):
+        # |h1| = 0.9 |h2 h3| under a -260 dBm noise floor: d1 and d2 of the
+        # continuous-phase average (about 8e16) round to the same float.
+        ch = load_scenario(None).channel()
+        l1 = [x * 0.9 * ch.a23 / ch.a1 for x in DEFAULT_SCENARIO["fading"]["l1"]]
+        scn = write_scenario_file(tmp_path, [
+            "modulation.scheme=mpsk", "modulation.amplitude=0.9",
+            f"fading.l1={json.dumps(l1)}", "system.noise_dbm=-260",
+            'sweep={"variable":"order","lo":2,"hi":4,"steps":1}',
+        ])
+        code, text = run_cli(tmp_path, "order-sweep", "--scenario", str(scn))
+        assert code == 0
+        meta, rows, _ = parse_csv(text)
+        near = load_scenario(scn)
+        # d1 - d2 = 1, so the rate is log2((d1 + sqrt(d1 + d2)) / 2) with d1 ~ d2.
+        d1 = 1.0 + 2.0 * near.system.snr_scale * near.channel().a1 ** 2
+        inf = float(meta[-1].split("psk_infinite_rate_bits=")[1])
+        assert inf == pytest.approx(math.log2(0.5 * (d1 + math.sqrt(2.0 * d1))), rel=1e-12)
+        # Each finite-order optimum beats the phase average, which is the limit.
+        assert all(float(r[2]) >= inf for r in rows)
+
+
+def optimize_report(tmp_path, overrides: list[str]) -> dict[str, str]:
+    scn = write_scenario_file(tmp_path, overrides, name="opt.json")
+    code, text = run_cli(tmp_path, "optimize", "--scenario", str(scn), name="opt.txt")
+    assert code == 0
+    return dict(item.split("=") for item in text.split())
+
+
+def rate_row(tmp_path, overrides: list[str]) -> list[float]:
+    scn = write_scenario_file(tmp_path, overrides, name="rate.json")
+    code, text = run_cli(tmp_path, "rate", "--scenario", str(scn), name="rate.csv")
+    assert code == 0
+    return [float(x) for x in parse_csv(text)[1][0]]
+
 
 class TestOptimize:
     def test_one_line_report(self, tmp_path):
@@ -246,6 +285,49 @@ class TestOptimize:
         theta0 = 3.6178892837380756
         want = (math.pi / 4 - theta0) % (math.pi / 2)
         assert phase == pytest.approx(want, abs=1e-9)
+
+    def test_zero_floor_is_feasible(self, tmp_path):
+        assert optimize_report(tmp_path, [])["feasible"] == "true"
+
+    def test_floor_above_entropy_is_infeasible_at_the_same_optimum(self, tmp_path):
+        free = optimize_report(tmp_path, [])
+        capped = optimize_report(tmp_path, ["modulation.min_bd_rate_bits=1.5"])
+        assert capped["feasible"] == "false"
+        # The floor never moves the phase choice.
+        assert capped["optimal_phase_rad"] == free["optimal_phase_rad"]
+        assert capped["achieved_pt_rate_bits"] == free["achieved_pt_rate_bits"]
+
+    def test_a_given_base_phase_does_not_change_the_report(self, tmp_path):
+        assert optimize_report(tmp_path, ["modulation.base_phase=0.5"]) == \
+            optimize_report(tmp_path, [])
+
+    def test_floor_straddles_the_device_rate(self, tmp_path):
+        weak = ["system.power_w=5e-4", "system.spread=8"]
+        scn = write_scenario_file(tmp_path, weak, name="weak.json")
+        code, text = run_cli(tmp_path, "mi", "--scenario", str(scn), name="mi.csv")
+        assert code == 0
+        mi = float(parse_csv(text)[1][0][0])
+        assert 0.0 < mi < 1.0
+        below = optimize_report(tmp_path, [*weak, f"modulation.min_bd_rate_bits={mi * 0.9!r}"])
+        above = optimize_report(tmp_path, [*weak, f"modulation.min_bd_rate_bits={mi * 1.1!r}"])
+        assert below["feasible"] == "true"
+        assert above["feasible"] == "false"
+
+    @pytest.mark.parametrize("overrides", [
+        ["modulation.order=4"],
+        ["modulation.scheme=mpsk", "modulation.order=4", "modulation.amplitude=0.9"],
+    ], ids=["mask", "mpsk"])
+    def test_achieved_rate_is_the_rate_at_the_optimum(self, tmp_path, overrides):
+        report = optimize_report(tmp_path, overrides)
+        pt = rate_row(tmp_path, overrides)[0]
+        assert float(report["achieved_pt_rate_bits"]) == pt
+
+    def test_silent_ring_achieves_the_baseline(self, tmp_path):
+        silent = ["modulation.scheme=mpsk", "modulation.order=4", "modulation.amplitude=0.0"]
+        report = optimize_report(tmp_path, silent)
+        assert report["feasible"] == "true"
+        assert float(report["achieved_pt_rate_bits"]) == pytest.approx(
+            rate_row(tmp_path, silent)[1], rel=1e-14)
 
 
 class TestMi:

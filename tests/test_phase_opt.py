@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbcrate.channel import SystemParams
-from sbcrate.phase_opt import (PhaseOptProblem, check_feasibility, optimal_phase_ask,
-                               optimal_phase_psk, solve_phase_problem)
+from sbcrate.phase_opt import optimal_phase_ask, optimal_phase_psk
 from sbcrate.pt_rate import mask_rate_curve, max_pt_rate_psk, mpsk_rate_curve, pt_rate_finite
-from sbcrate.constellation import mask_constellation, mpsk_constellation
-from sbcrate.bd_rate import bd_rate
+from sbcrate.constellation import mask_constellation
 
 from .conftest import channel_from_polar
 from .grid_oracle import grid_search_phase
@@ -161,55 +159,3 @@ class TestGridSearch:
             grid_phi, _ = grid_search_phase(obj, 0.0, TWO_PI, 10_000)
             closed = optimal_phase_ask(ch.theta0).phase_rad
             assert circular_distance(grid_phi, closed, TWO_PI) <= TWO_PI / 10_000
-
-
-class TestFeasibility:
-    def test_zero_floor_always_feasible(self, default_system, default_channel):
-        p = PhaseOptProblem(scheme="mask", order=2, min_bd_rate_bits=0.0)
-        assert check_feasibility(p, default_system, default_channel)
-
-    def test_floor_above_entropy_never_feasible(self, default_system, default_channel):
-        p = PhaseOptProblem(scheme="mask", order=2, min_bd_rate_bits=1.5)
-        assert not check_feasibility(p, default_system, default_channel)
-
-    def test_threshold_straddles_computed_information(self, default_channel):
-        sys = SystemParams(power_w=5e-4, noise_w=1e-13, spread=8)
-        mi = bd_rate(sys, default_channel, mask_constellation(2, 0.0)).value_bits
-        assert 0.0 < mi < 1.0
-        below = PhaseOptProblem(scheme="mask", order=2, min_bd_rate_bits=mi * 0.9)
-        above = PhaseOptProblem(scheme="mask", order=2, min_bd_rate_bits=mi * 1.1)
-        assert check_feasibility(below, sys, default_channel)
-        assert not check_feasibility(above, sys, default_channel)
-
-
-class TestSolve:
-    def test_mask_solution_reports_rate_and_wrap(self, default_system, default_channel):
-        sol = solve_phase_problem(PhaseOptProblem(scheme="mask", order=4),
-                                  default_system, default_channel)
-        direct = pt_rate_finite(default_system, default_channel,
-                                mask_constellation(4, sol.phase_rad))
-        assert sol.achieved_pt_rate == pytest.approx(direct, rel=1e-14)
-        assert sol.feasible
-
-    def test_mpsk_solution_uses_ring_amplitude(self, default_system, default_channel):
-        p = PhaseOptProblem(scheme="mpsk", order=4, alpha0=0.9)
-        sol = solve_phase_problem(p, default_system, default_channel)
-        direct = pt_rate_finite(default_system, default_channel,
-                                mpsk_constellation(4, 0.9, sol.phase_rad))
-        assert sol.achieved_pt_rate == pytest.approx(direct, rel=1e-14)
-
-    def test_infeasible_problem_still_returns_optimum(self, default_system,
-                                                      default_channel):
-        p = PhaseOptProblem(scheme="mask", order=2, min_bd_rate_bits=0.999)
-        sol = solve_phase_problem(p, default_system, default_channel)
-        assert sol.phase_rad == optimal_phase_ask(default_channel.theta0).phase_rad
-        # Saturated g at the default operating point: the floor is met.
-        assert isinstance(sol.feasible, bool)
-
-    def test_problem_validation(self):
-        with pytest.raises(ValueError):
-            PhaseOptProblem(scheme="qam", order=4)
-        with pytest.raises(ValueError):
-            PhaseOptProblem(scheme="mpsk", order=4)  # missing alpha0
-        with pytest.raises(ValueError):
-            PhaseOptProblem(scheme="mask", order=1)

@@ -8,8 +8,7 @@ from sbcrate.channel import ChannelTriple, SystemParams
 from sbcrate.constellation import (explicit_constellation, mask_constellation,
                                    mpsk_constellation)
 from sbcrate.phase_opt import optimal_phase_ask, optimal_phase_psk
-from sbcrate.pt_rate import (AskAsymptoticCoefficients, PskAsymptoticCoefficients,
-                             mask_rate_curve, max_pt_rate_ask, max_pt_rate_psk,
+from sbcrate.pt_rate import (mask_rate_curve, max_pt_rate_ask, max_pt_rate_psk,
                              mpsk_rate_curve, pt_rate_ask_infinite, pt_rate_finite,
                              pt_rate_no_bd, pt_rate_psk_infinite, rate_gain)
 
@@ -159,14 +158,15 @@ class TestAskInfinite:
         with pytest.raises(ValueError, match="degenerate"):
             pt_rate_ask_infinite(UNIT_SYS, ch, 0.0)
 
-    def test_coefficient_invariants(self):
-        ch = channel_from_polar(1.0, 0.5, 0.5, 0.2, 0.4, 0.6)
-        coef = AskAsymptoticCoefficients.from_link(UNIT_SYS, ch, 0.7)
-        assert coef.c1 >= 1.0
-        assert coef.c3 > 0.0
-        assert coef.delta > 0.0
-        # delta equals c1 c3 - (c2/2)^2 up to the cancellation-free rewrite
-        assert coef.delta == pytest.approx(coef.c1 * coef.c3 - (coef.c2 / 2) ** 2, rel=1e-9)
+    @pytest.mark.parametrize("rho", [1e8, 1e12, 1e15, 1e16, 1e20])
+    def test_cancelling_paths(self, rho):
+        # |h1| = |h2 h3| and psi = pi: the SNR rho (1 - a)^2 vanishes at a = 1,
+        # and the average of log(1 + rho t^2) over [0, 1] has a closed form.
+        ch = ChannelTriple(h1=1 + 0j, h2=1 + 0j, h3=1 + 0j)
+        sys = SystemParams(power_w=rho, noise_w=1.0, spread=1)
+        root = math.sqrt(rho)
+        exact = (math.log1p(rho) - 2.0 + 2.0 * math.atan(root) / root) / math.log(2.0)
+        assert pt_rate_ask_infinite(sys, ch, math.pi) == pytest.approx(exact, rel=1e-12)
 
 
 class TestPskInfinite:
@@ -195,12 +195,22 @@ class TestPskInfinite:
             oracle = float(np.log1p(snr).mean() / math.log(2))
             assert pt_rate_psk_infinite(sys, ch, alpha0) == pytest.approx(oracle, abs=1e-4)
 
-    def test_coefficient_domain(self):
+    @pytest.mark.parametrize("rho", [1e3, 1e10, 1e16, 1e20])
+    def test_cancelling_paths_match_phase_average(self, rho):
+        # |h1| = alpha0 |h2 h3|: the SNR rho (2 |h1| cos(u/2))^2 vanishes at u = pi.
+        alpha0 = 0.5
+        ch = channel_from_polar(alpha0, 1.0, 1.0)
+        sys = SystemParams(power_w=rho, noise_w=1.0, spread=1)
+        n = 2**20
+        half = (np.arange(n) + 0.5) * (math.pi / n)
+        oracle = float(np.log1p(rho * (2.0 * alpha0 * np.cos(half)) ** 2).mean() / math.log(2.0))
+        assert pt_rate_psk_infinite(sys, ch, alpha0) == pytest.approx(oracle, abs=1e-4)
+
+    def test_ring_amplitude_outside_unit_interval_rejected(self):
         ch = channel_from_polar(1.0, 1.0, 1.0)
-        coef = PskAsymptoticCoefficients.from_link(UNIT_SYS, ch, 1.0)
-        assert coef.d1 > coef.d2 >= 0.0
-        with pytest.raises(ValueError):
-            PskAsymptoticCoefficients(d1=1.0, d2=2.0)
+        for alpha0 in (-0.1, 1.1):
+            with pytest.raises(ValueError, match="alpha0 must lie in"):
+                pt_rate_psk_infinite(UNIT_SYS, ch, alpha0)
 
 
 class TestMaxRates:
