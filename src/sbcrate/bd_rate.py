@@ -8,10 +8,13 @@ the equiprobable discrete input against that observation: one log-ratio
 kernel averaged over Gauss-Hermite noise nodes, or over sampled observations
 by Monte Carlo and the link simulator.
 
-The MI is unchanged by translating or rotating the point set, and the
-quadrature uses it: a collinear set (every amplitude-keyed set) needs only a
-1-D rule along its line, and a phase-keyed set, being M-fold rotation-
-symmetric, only the term conditioned on Gamma_0 of the tensor-product rule.
+The MI is unchanged by translating, rotating or reflecting the point set,
+and the quadrature uses it.  A collinear set (every amplitude-keyed set)
+needs only a 1-D rule along its line, and, when it is symmetric about its
+midpoint, only half of its conditioned terms.  A phase-keyed set, an equally
+spaced ring, needs only the term conditioned on Gamma_0; turned so that
+Gamma_0 is real, the ring is its own mirror image across the real axis, and
+that term needs only the upper half of the tensor-product rule.
 
 The sampled estimators draw fixed-size chunks, each from its own substream,
 on one thread per usable CPU, and add the per-chunk sums in chunk order: a
@@ -114,22 +117,24 @@ def _log_ratio_bits(y: np.ndarray, conditioned: int | np.ndarray, points: np.nda
     scaled = gain * points
     sr, si = scaled.real[:, None], scaled.imag[:, None]
     energy = (np.abs(scaled) ** 2)[:, None]
-    sc = scaled[conditioned]
     step = max(min(_KERNEL_BLOCK // M, len(y)), 1)
+    cols = np.arange(step)
     u_buf, t_buf = np.empty(M * step), np.empty(M * step)
     for lo in range(0, len(y), step):
         yr, yi = y[lo:lo + step].real, y[lo:lo + step].imag
         u = u_buf[:M * len(yr)].reshape(M, -1)
         t = t_buf[:M * len(yr)].reshape(M, -1)
         # u[i, n] = (2 Re(y conj(g G_i)) - |g G_i|^2) / nv; the log ratio needs
-        # only u_i - u_m, with u_m in the same arithmetic so that u_m - u_m == 0.
+        # only u_i - u_m, and u_m is gathered from u itself, so u_m - u_m == 0.
         np.multiply(sr, yr, out=u)
         u += np.multiply(si, yi, out=t)
         u *= 2.0
         u -= energy
         u /= noise_var
-        scb = sc if np.ndim(sc) == 0 else sc[lo:lo + step]
-        u -= (2.0 * (scb.real * yr + scb.imag * yi) - np.abs(scb) ** 2) / noise_var
+        if np.ndim(conditioned) == 0:
+            u -= u[conditioned].copy()
+        else:
+            u -= u[conditioned[lo:lo + step], cols[:len(yr)]]
         umax = np.maximum(u.max(axis=0), 0.0)
         u -= umax
         np.exp(u, out=u)
@@ -146,33 +151,52 @@ def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=16)
-def _hermite_rule(nodes: int, dims: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit noise nodes and weights of the 1-D rule or of the flattened 2-D tensor rule.
+def _hermite_rule(nodes: int, region: str) -> tuple[np.ndarray, np.ndarray]:
+    """Unit noise nodes and weights of the 1-D rule or of a flattened 2-D tensor rule.
 
-    1-D: nodes x_i, weights w_i / sqrt(pi).  2-D: nodes x_i + j x_k, weights
-    w_i w_k / pi.  Either way a node's real part is one noise component of
-    variance 1/2.
+    "line": nodes x_i, weights w_i / sqrt(pi).  "plane": nodes x_i + j x_k,
+    weights w_i w_k / pi.  "half_plane": the plane nodes with x_k >= 0, for an
+    integrand even in the imaginary part; weights 2 w_i w_k / pi, and
+    w_i w_k / pi on the x_k == 0 row of an odd node count (numpy's nodes are
+    exactly symmetric, the middle one exactly 0).  Either way a node's real
+    part is one noise component of variance 1/2.
     """
     x, w = _hermgauss(nodes)
-    if dims == 1:
+    if region == "line":
         return x, w / math.sqrt(math.pi)
-    return (x[:, None] + 1j * x[None, :]).ravel(), np.outer(w, w).ravel() / math.pi
+    z, weights = x[:, None] + 1j * x[None, :], np.outer(w, w) / math.pi
+    if region == "half_plane":
+        upper = x >= 0.0
+        z, weights = z[:, upper], weights[:, upper] * np.where(x[upper] > 0.0, 2.0, 1.0)
+    return z.ravel(), weights.ravel()
 
 
 def mi_quadrature(c: Constellation, stats: MrcStatistics, tol: float = DEFAULT_MI_TOL,
                   node_schedule: tuple[int, ...] = DEFAULT_NODE_SCHEDULE) -> MiEstimate:
     """Deterministic mutual information of the constellation through the combiner.
 
-    The MI is unchanged by translating or rotating the point set, so the set
-    is first put in a canonical form: Gamma_0 at the origin and the farthest
-    point on the positive real axis.  If the canonical points are real to
-    rounding (every `mask` set, any two points, any collinear set), the noise
-    orthogonal to the line carries no information and a 1-D Gauss-Hermite
-    rule of n nodes replaces the n^2 tensor rule.  An equally spaced ring
-    Gamma_m = Gamma_0 e^{2 pi j m / M} (every `mpsk` set) is M-fold
-    rotation-symmetric, so only the Gamma_0-conditioned term of the tensor
-    rule is evaluated.  Other sets average all M conditioned terms over the
-    tensor rule.  The structure is read from the points alone.
+    The MI is the mean over m of the term conditioned on Gamma_m, and it is
+    unchanged by translating, rotating or reflecting the point set; the rule
+    uses every exact symmetry it can read from the points (to within
+    `_STRUCTURE_TOL`), never from the scheme's name.
+
+    - Line.  With Gamma_0 at the origin and the farthest point turned onto
+      the positive real axis, the points are real to rounding (every `mask`
+      set, any two points, any collinear set).  The noise orthogonal to the
+      line carries no information, so a 1-D Gauss-Hermite rule of n nodes
+      replaces the n^2 tensor rule.  If the line is also symmetric about its
+      midpoint (every `mask` set and every pair), the term of each point
+      equals the term of its mirror image with the noise negated, and the
+      rule's nodes are symmetric: only ceil(M/2) terms are evaluated, each
+      but an odd M's middle one counted twice.
+    - Ring.  An equally spaced ring Gamma_m = Gamma_0 e^{2 pi j m / M} (every
+      `mpsk` set) is M-fold rotation-symmetric, so only the Gamma_0 term is
+      evaluated.  The ring is first turned by |Gamma_0| / Gamma_0 so that
+      Gamma_0 is real; it is then closed under conjugation, the term is even
+      in the imaginary noise component, and the tensor rule needs only its
+      nodes with non-negative imaginary part.  The integrand, and with it the
+      node count and the value, is then the same at every base phase.
+    - Other sets average all M terms over the full tensor rule.
 
     Refines the node count along `node_schedule` until two consecutive
     estimates differ by at most `tol` bits; raises :class:`PrecisionError`
@@ -187,21 +211,31 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics, tol: float = DEFAULT_M
     if len(node_schedule) < 2:
         raise ValueError("node_schedule needs at least two levels to assess convergence")
 
+    M = len(points)
     shifted = points - points[0]
     far = shifted[np.argmax(np.abs(shifted))]
     canonical = shifted * (abs(far) / far)
-    terms = np.arange(len(points))
+    # terms[k] is evaluated and stands for counts[k] equal terms of the M.
+    terms, counts = np.arange(M), np.ones(M)
     if np.all(np.abs(canonical.imag) <= _STRUCTURE_TOL * abs(far)):
-        points, dims = canonical.real, 1
+        points, region = canonical.real, "line"
+        ranked = np.argsort(points)
+        ends = points[ranked[0]] + points[ranked[-1]]
+        if np.all(np.abs(points[ranked] + points[ranked[::-1]] - ends)
+                  <= _STRUCTURE_TOL * abs(far)):
+            terms, counts = ranked[:(M + 1) // 2], np.full((M + 1) // 2, 2.0)
+            if M % 2:
+                counts[-1] = 1.0
     else:
-        dims = 2
-        ring = points[0] * np.exp(2j * math.pi * terms / len(points))
+        region = "plane"
+        ring = points[0] * np.exp(2j * math.pi * terms / M)
         if np.all(np.abs(points - ring) <= _STRUCTURE_TOL * abs(points[0])):
-            terms = terms[:1]
-    block = max(_KERNEL_BLOCK // len(points), 1)
+            points, region = points * (abs(points[0]) / points[0]), "half_plane"
+            terms, counts = terms[:1], np.array([float(M)])
+    block = max(_KERNEL_BLOCK // M, 1)
 
     def level(nodes: int) -> float:
-        z, weights = _hermite_rule(nodes, dims)
+        z, weights = _hermite_rule(nodes, region)
         noise = math.sqrt(stats.noise_var) * z
         count = len(terms) * len(z)
         total = 0.0
@@ -212,8 +246,8 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics, tol: float = DEFAULT_M
                                 stats.gain, stats.noise_var)
             # (w * v).sum(), not w @ v: the product weights reach the subnormal
             # range, where the BLAS dot slows down by orders of magnitude.
-            total += float((weights[node] * v).sum())
-        return total / len(terms)
+            total += float((counts[term] * weights[node] * v).sum())
+        return total / M
 
     prev = level(node_schedule[0])
     for nodes in node_schedule[1:]:

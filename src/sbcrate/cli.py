@@ -106,6 +106,17 @@ def cmd_ratio_sweep(scn: Scenario, args) -> list[str]:
         h1 = np.asarray(ratios)[..., None] * a23
         return _rate_bits(rho, h1, a23, ask_points), _rate_bits(rho, h1, a23, psk_points)
 
+    def signs(ask, psk):
+        # Rates this close are equal to rounding.  Where the direct path
+        # dominates, both rates pass 90 bits while their true difference falls
+        # below an ulp, and the computed one is noise: at most 12 ulp for
+        # orders 2 to 1024 at ratios 1e13 to 1e30.  64 ulp (about 1e-12 bits)
+        # clears that five times over and is far below the differences that
+        # the grid meets near a real crossing.
+        diff = ask - psk
+        return np.where(np.abs(diff) <= 64 * np.spacing(np.maximum(ask, psk)), 0.0,
+                        np.sign(diff))
+
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         asks, psks = optima(grid)
         diffs = asks - psks
@@ -117,27 +128,30 @@ def cmd_ratio_sweep(scn: Scenario, args) -> list[str]:
     lines.append("ratio,rate_ask_opt_bits,rate_psk_opt_bits")
     for r, ask, psk in zip(grid, asks, psks):
         lines.append(f"{_fmt(r)},{_fmt(ask)},{_fmt(psk)}")
-    sign = np.sign(diffs)
+    sign = signs(asks, psks)
     brackets = [i for i in range(len(grid) - 1)
                 if sign[i] != sign[i + 1] and sign[i] != 0]
     crossings = []
     for i in brackets:
         a, b = float(grid[i]), float(grid[i + 1])
-        fa = diffs[i]
-        # A cell ending on an exact zero reaches a plateau where both rates
-        # round alike; zeros inside it are not roots, so shrink toward a.
-        plateau = diffs[i + 1] == 0.0
+        sa = sign[i]
+        # A cell ending on a zero reaches a plateau where both rates round
+        # alike; zeros and rounding noise inside it are not roots, so shrink
+        # toward a until a midpoint shows the far sign.  From there both ends
+        # carry real signs, and the exact difference decides.
+        plateau = sign[i + 1] == 0.0
         mid = 0.5 * (a + b)
         while a < mid < b:  # bisect until the cell holds no float between its ends
             ask, psk = optima(mid)
-            fm = float(ask - psk)
-            if fm == 0.0 and not plateau:
+            sm = signs(ask, psk) if plateau else np.sign(ask - psk)
+            if sm == 0.0 and not plateau:
                 a = b = mid
                 break
-            if fm != 0.0 and (fm > 0) == (fa > 0):
-                a, fa = mid, fm
+            if sm == sa:
+                a = mid
             else:
                 b = mid
+                plateau = plateau and sm == 0.0
             mid = 0.5 * (a + b)
         crossings.append(0.5 * (a + b))
     r0 = crossings[0] if len(crossings) == 1 else float("nan")

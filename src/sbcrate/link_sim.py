@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bd_rate import (MiEstimate, _add_complex_normal, _log_ratio_bits, _sample_mean,
-                      mrc_statistics)
+from .bd_rate import (_KERNEL_BLOCK, MiEstimate, _add_complex_normal, _log_ratio_bits,
+                      _sample_mean, mrc_statistics)
 from .channel import ChannelTriple, SystemParams
 from .constellation import Constellation
 
@@ -132,16 +132,28 @@ def sic_mrc_receiver(block: SimulatedBlock, sys: SystemParams,
 
 def _combine(block: SimulatedBlock, sys: SystemParams, ch: ChannelTriple,
              residual: np.ndarray) -> np.ndarray:
-    """The receiver's outputs, its residual written to `residual` (may be `block.received`)."""
+    """The receiver's outputs, its residual written to `residual` (may be `block.received`).
+
+    Works on about `_KERNEL_BLOCK` samples at a time, so no temporary spans
+    the whole block; each span is summed on its own, so the outputs do not
+    depend on how many spans a step takes.
+    """
+    L = sys.spread
     n_bd = len(block.bd_symbol_indices)
-    s = block.pt_symbols
-    temp = np.empty(len(s), dtype=complex)
-    np.multiply(math.sqrt(sys.power_w) * ch.h1, s, out=temp)
-    np.subtract(block.received, temp, out=residual)
-    np.multiply(math.sqrt(sys.power_w) * ch.h2 * ch.h3, s, out=temp)
-    np.conjugate(temp, out=temp)
-    temp *= residual
-    out = temp.reshape(n_bd, sys.spread).sum(axis=1)
+    s = block.pt_symbols.reshape(n_bd, L)
+    y = block.received.reshape(n_bd, L)
+    res = residual.reshape(n_bd, L)
+    direct = math.sqrt(sys.power_w) * ch.h1
+    cascade = math.sqrt(sys.power_w) * ch.h2 * ch.h3
+    out = np.empty(n_bd, dtype=complex)
+    rows = max(_KERNEL_BLOCK // L, 1)
+    for lo in range(0, n_bd, rows):
+        span = slice(lo, lo + rows)
+        np.subtract(y[span], direct * s[span], out=res[span])
+        weights = np.multiply(cascade, s[span])
+        np.conjugate(weights, out=weights)
+        weights *= res[span]
+        out[span] = weights.sum(axis=1)
     out /= sys.noise_w
     return out
 

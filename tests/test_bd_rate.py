@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 
 from sbcrate.bd_rate import (_KERNEL_BLOCK, DEFAULT_MI_TOL, MrcStatistics, PrecisionError,
                              _log_ratio_bits, bd_rate, mi_monte_carlo, mi_quadrature,
@@ -61,6 +61,30 @@ def canonical_points(points) -> np.ndarray:
     shifted = np.asarray(points, dtype=complex) - points[0]
     far = shifted[np.argmax(np.abs(shifted))]
     return shifted * (abs(far) / far)
+
+
+def turned_ring(points) -> np.ndarray:
+    """The set turned by |Gamma_0| / Gamma_0, so that Gamma_0 lies on the positive reals."""
+    points = np.asarray(points, dtype=complex)
+    return points * (abs(points[0]) / points[0])
+
+
+def adaptive_conditioned_term(points, gain: float, noise_var: float) -> float:
+    """The Gamma_0-conditioned term E[log2 p(y | Gamma_0) / p(y)] by adaptive 2-D integration.
+
+    With y = g Gamma_0 + sigma_s (a + j b), (a, b) has density exp(-a^2 - b^2) / pi,
+    and the exponents are e_i = -|g (Gamma_0 - Gamma_i) / sigma_s + a + j b|^2.
+    """
+    d = gain * (points[0] - np.asarray(points, dtype=complex)) / math.sqrt(noise_var)
+    log_m = math.log(len(d))
+
+    def integrand(b: float, a: float) -> float:
+        e = -np.abs(d + complex(a, b)) ** 2
+        log_ratio = e[0] - (e.max() + math.log(np.exp(e - e.max()).sum()) - log_m)
+        return math.exp(-a * a - b * b) / math.pi * log_ratio / math.log(2.0)
+
+    value, _ = dblquad(integrand, -12.0, 12.0, -12.0, 12.0, epsabs=1e-13, epsrel=1e-13)
+    return value
 
 
 def adaptive_mi_collinear(points, gain: float, noise_var: float) -> float:
@@ -197,12 +221,14 @@ class TestMiQuadrature:
         est = mi_quadrature(explicit_constellation(pts), MrcStatistics(g, g))
         assert -1e-9 <= est.value_bits <= math.log2(n_points) + 1e-9
 
-    @pytest.mark.parametrize("nodes", [64, 96])
+    @pytest.mark.parametrize("nodes", [64, 96, 65])
     def test_matches_tensor_difference_oracle(self, nodes):
         # The oracle integrates what the engine integrates at one level: the
         # canonical real-axis points of a collinear set (the tensor rule there
-        # equals the engine's 1-D rule), the Gamma_0 term of an mpsk set, and
-        # every conditioned term of other sets.
+        # equals the engine's 1-D rule, and its mirrored terms equal the ones
+        # the engine skips), the Gamma_0 term of an mpsk set turned so that
+        # Gamma_0 is real (the full rule equals the engine's half plane, an
+        # odd node count included), and every conditioned term of other sets.
         cases = []
         for M in (2, 3, 4, 8, 16):
             mask, mpsk = mask_constellation(M, 0.7), mpsk_constellation(M, 0.9, 0.1)
@@ -212,11 +238,11 @@ class TestMiQuadrature:
                     cases.append((mpsk, MrcStatistics(g, g), canonical_points(mpsk.points).real,
                                   None))
                 else:
-                    cases.append((mpsk, MrcStatistics(g, g), mpsk.points, (0,)))
+                    cases.append((mpsk, MrcStatistics(g, g), turned_ring(mpsk.points), (0,)))
         c = explicit_constellation([0.9, 0.5j, -0.3 - 0.4j])
         cases.append((c, MrcStatistics(7.0, 7.0), c.points, None))
         c = mpsk_constellation(4, 0.8, 0.3)
-        cases.append((c, MrcStatistics(12.0, 3.0), c.points, None))  # gain != noise, all terms
+        cases.append((c, MrcStatistics(12.0, 3.0), turned_ring(c.points), (0,)))  # gain != noise
         for c, stats, points, conditioned in cases:
             est = mi_quadrature(c, stats, node_schedule=(nodes, nodes))
             ref = tensor_mi_oracle(points, stats.gain, stats.noise_var, nodes, conditioned)
@@ -253,7 +279,8 @@ class TestMiQuadrature:
         for g in (0.5, 40.0, 2000.0):
             kernel_entries.clear()
             est = mi_quadrature(explicit_constellation(points), MrcStatistics(g, g))
-            assert all(entries == M * M * nodes for nodes, entries in kernel_entries)
+            # Both lines are symmetric about their midpoints: ceil(M/2) terms.
+            assert all(entries == (M + 1) // 2 * M * nodes for nodes, entries in kernel_entries)
             ref = mi_quadrature(mask, MrcStatistics(g, g))
             assert abs(est.value_bits - ref.value_bits) <= 1e-12, g
 
@@ -270,7 +297,7 @@ class TestMiQuadrature:
         ring = explicit_constellation([p * rot for p in mpsk_constellation(8, 0.9, 0.1).points])
         mi_quadrature(ring, stats)
         assert kernel_entries
-        assert all(entries == 8 * nodes**2 for nodes, entries in kernel_entries)
+        assert all(entries == 8 * nodes * nodes // 2 for nodes, entries in kernel_entries)
         # Three points off any equally spaced ring keep every conditioned term.
         kernel_entries.clear()
         mi_quadrature(explicit_constellation([0.9 + 0j, 0.5j, -0.3 - 0.4j]), stats)
@@ -279,14 +306,50 @@ class TestMiQuadrature:
 
     @pytest.mark.parametrize("scheme", ["mask", "mpsk"])
     def test_work_per_level_follows_structure(self, kernel_entries, scheme):
-        # Deterministic guard against a silent fall back to all M terms on the
-        # tensor rule: M^2 n entries on a line, M n^2 for the one mpsk term.
+        # Deterministic guard against a silent fall back to all M terms or to
+        # the full tensor rule: M/2 terms of M n entries on the mirrored line,
+        # M n^2 / 2 for the one mpsk term on the half plane.
         M = 16
         c = mask_constellation(M, 0.3) if scheme == "mask" else mpsk_constellation(M, 0.9, 0.1)
         mi_quadrature(c, MrcStatistics(200.0, 200.0))
         assert len(kernel_entries) >= 2
         for nodes, entries in kernel_entries:
-            assert entries <= (M * M * nodes if scheme == "mask" else M * nodes**2), nodes
+            assert entries == (M // 2 * M * nodes if scheme == "mask"
+                               else M * nodes * nodes // 2), nodes
+
+    def test_line_terms_follow_its_mirror_symmetry(self, kernel_entries):
+        stats = MrcStatistics(40.0, 40.0)
+        for points, terms in (([0.0, 0.1, 1.0], 3), (mask_constellation(3, 0.0).points, 2)):
+            kernel_entries.clear()
+            est = mi_quadrature(explicit_constellation(points), stats, node_schedule=(96, 96))
+            assert kernel_entries == [[96, terms * 3 * 96]] * 2
+            # [0, 0.1, 1] has no mirror and keeps all M terms; an odd mask
+            # set evaluates ceil(M/2) and counts its middle term once.
+            ref = tensor_mi_oracle(np.real(points), 40.0, 40.0, 96)
+            assert abs(est.value_bits - ref) <= 1e-12, points
+
+    @pytest.mark.parametrize("M", [4, 8, 16])
+    def test_mpsk_value_is_the_same_at_every_base_phase(self, M):
+        for g in (30.0, 200.0):
+            vals = [mi_quadrature(mpsk_constellation(M, 0.9, k * 2 * math.pi / M / 7 + 0.01),
+                                  MrcStatistics(g, g)).value_bits for k in range(7)]
+            assert max(vals) - min(vals) <= 1e-13, (M, g, vals)
+
+    @pytest.mark.parametrize("M, g", [(4, 30.0), (16, 200.0)])
+    def test_mpsk_matches_adaptive_conditioned_term(self, M, g):
+        c = mpsk_constellation(M, 0.9, 0.1)
+        ref = adaptive_conditioned_term(c.points, g, g)
+        assert abs(mi_quadrature(c, MrcStatistics(g, g)).value_bits - ref) <= 1e-9
+
+    @pytest.mark.parametrize("scheme", ["mask", "mpsk"])
+    @pytest.mark.parametrize("M", [128, 256])
+    def test_high_orders_bounded_and_monotone(self, scheme, M):
+        c = mask_constellation(M, 0.0) if scheme == "mask" else mpsk_constellation(M, 0.9, 0.0)
+        vals = [mi_quadrature(c, MrcStatistics(g, g)).value_bits for g in (1.0, 1e2, 1e4, 1e6)]
+        # Rounding slack only: saturated values land within an ulp of log2 M
+        # (mpsk M=128 at g=1e6 gives 6.999999999999999).
+        assert all(-1e-12 <= v <= math.log2(M) + 1e-12 for v in vals), vals
+        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])), vals
 
     @given(scheme=st.sampled_from(["mask", "mpsk"]), M=st.sampled_from([2, 4, 8, 16, 32, 64]),
            log_g=st.lists(st.floats(-6.0, 8.0), min_size=2, max_size=2))

@@ -180,6 +180,19 @@ class TestRatioSweep:
             r0.append(float(text.split("crossing_ratio_r0=")[1]))
         assert r0[1:] == pytest.approx([r0[0]] * 3, abs=1e-15)
 
+    def test_rounding_noise_on_the_plateau_is_no_crossing(self, tmp_path):
+        # Up to 1e15 the grid meets rate differences of a few ulp of ~90 bits
+        # next to exact zeros; only the crossing near 0.371 is real.
+        r0 = []
+        for hi, steps in ((1.5, 60), (1e15, 2), (1e15, 7), (1e15, 100), (1e15, 400)):
+            scn = write_scenario_file(tmp_path, [
+                f'sweep={{"variable":"channel_ratio","lo":0.05,"hi":{hi},"steps":{steps}}}',
+            ])
+            code, text = run_cli(tmp_path, "ratio-sweep", "--scenario", str(scn))
+            assert code == 0 and "sign_changes=1 " in text, (hi, steps)
+            r0.append(float(text.split("crossing_ratio_r0=")[1]))
+        assert r0[1:] == pytest.approx([r0[0]] * 4, abs=1e-15)
+
     def test_overflowing_rates_exit_2_and_name_the_ratio(self, tmp_path, capsys):
         # inf - inf is NaN, which must not count as a sign change.
         scn = write_scenario_file(tmp_path, [
