@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import sbcrate
 from sbcrate.cli import main
 from sbcrate.scenario import DEFAULT_SCENARIO, apply_overrides, load_scenario
 
@@ -203,6 +208,27 @@ class TestRatioSweep:
         assert capsys.readouterr().err == ("scenario error: ratio-sweep rates overflow at "
                                            "ratio 2.5e+307; lower sweep.hi\n")
 
+    @pytest.mark.parametrize("roots", [(0.43, 1.17), (0.43, 1.17, 2.31)])
+    def test_several_crossings_give_their_count_and_no_ratio(self, tmp_path, monkeypatch,
+                                                             roots):
+        # A stand-in kernel whose ASK - PSK difference is prod(ratio - root):
+        # ASK points have a nonzero mean, the PSK ring a zero one.
+        def rate_bits(rho, h1, h23, gammas):
+            ratio = np.real(h1 / h23).mean(axis=-1)
+            is_ask = np.abs(np.mean(gammas, axis=-1)) > 1e-9
+            diff = np.prod([ratio - r for r in roots], axis=0)
+            return 5.0 + np.where(is_ask, diff, 0.0)
+
+        monkeypatch.setattr("sbcrate.cli._rate_bits", rate_bits)
+        scn = write_scenario_file(tmp_path, [
+            'sweep={"variable":"channel_ratio","lo":0.05,"hi":3.0,"steps":60}',
+        ])
+        code, text = run_cli(tmp_path, "ratio-sweep", "--scenario", str(scn))
+        assert code == 0
+        meta, rows, _ = parse_csv(text)
+        assert len(rows) == 60
+        assert meta[-1] == f"# sign_changes={len(roots)} crossing_ratio_r0=nan"
+
     def test_range_validation(self, tmp_path):
         scn = write_scenario_file(tmp_path, [
             'sweep={"variable":"channel_ratio","lo":-1.0,"hi":1.0,"steps":10}',
@@ -388,6 +414,27 @@ class TestDeterminism:
         _, first = run_cli(tmp_path, *args, name="first.csv")
         _, second = run_cli(tmp_path, *args, name="second.csv")
         assert first == second
+
+    def test_repeated_calls_in_one_process_match_fresh_processes(self, capsys):
+        # main builds its parser once; nothing an earlier call parsed, failed
+        # on or overrode may reach a later one.
+        with pytest.raises(SystemExit):
+            main(["frobnicate"])
+        assert main(["rate", "--override", "system.turbo=9"]) == 2
+        capsys.readouterr()
+        overridden = ["phase-sweep", "--grid", "50", "--override", "modulation.order=4"]
+        plain = ["phase-sweep", "--grid", "50"]
+        texts = []
+        for argv in (overridden, plain):
+            assert main(argv) == 0
+            texts.append(capsys.readouterr().out)
+        env = {**os.environ, "PYTHONPATH": str(Path(sbcrate.__file__).parents[1])}
+        fresh = [subprocess.run([sys.executable, "-m", "sbcrate.cli", *argv], env=env,
+                                capture_output=True, text=True, check=True).stdout
+                 for argv in (overridden, plain)]
+        assert texts == fresh
+        assert "# scheme=mask order=4" in texts[0]
+        assert "# scheme=mask order=2" in texts[1]
 
     def test_metadata_carries_scenario_hash(self, tmp_path):
         _, text = run_cli(tmp_path, "rate")
