@@ -86,9 +86,10 @@ def pt_rate_ask_infinite(sys: SystemParams, ch: ChannelTriple, phi0: float) -> f
     rootd = math.sqrt(c3 * (b * math.sin(psi) ** 2 + 1.0))
     b = c1 - 1.0  # the b that c1 = 1 + b holds after rounding
     # S - 1 as a sum of two non-negative pieces, (sqrt(b) - sqrt(c3))^2 and
-    # 2 sqrt(b c3) (1 + cos psi); the plain S = c1 + c2 + c3 cancels when
-    # cos(psi) ~ -1 and b ~ c3.
-    s1 = (math.sqrt(b) - math.sqrt(c3)) ** 2 + (2.0 * math.sqrt(b * c3) + c2)
+    # 2 sqrt(b c3) (1 + cos psi) = 4 sqrt(b c3) cos^2(psi / 2); the plain
+    # S = c1 + c2 + c3 cancels when cos(psi) ~ -1 and b ~ c3, and so does
+    # 2 sqrt(b c3) + c2.
+    s1 = (math.sqrt(b) - math.sqrt(c3)) ** 2 + 4.0 * math.sqrt(b * c3) * math.cos(0.5 * psi) ** 2
     term_log = math.log1p(s1)
     ratio = (c3 + c2) / c1
     # 1 + ratio = (1 + s1) / c1; near -1 the ratio has lost its low bits.

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import dblquad, quad
 
-from sbcrate.bd_rate import (_KERNEL_BLOCK, DEFAULT_MI_TOL, MrcStatistics, PrecisionError,
-                             _log_ratio_bits, bd_rate, mi_monte_carlo, mi_quadrature,
-                             mrc_statistics)
+from sbcrate.bd_rate import (_KERNEL_BLOCK, DEFAULT_MI_TOL, DEFAULT_NODE_SCHEDULE,
+                             MrcStatistics, PrecisionError, _hermite_rule, _log_ratio_bits,
+                             bd_rate, mi_monte_carlo, mi_quadrature, mrc_statistics)
 from sbcrate.channel import SystemParams
 from sbcrate.constellation import explicit_constellation, mask_constellation, mpsk_constellation
 
@@ -42,6 +42,41 @@ def tensor_mi_oracle(points, gain: float, noise_var: float, nodes: int,
         lse = tmax / math.log(2.0) + np.log2(np.exp(t - tmax).sum(axis=0))
         acc += float((w2 * lse).sum())
     return math.log2(M) - acc / len(conditioned)
+
+
+def line_mi_oracle(points, gain: float, noise_var: float, nodes: int) -> float:
+    """Mutual information of real points on the whole 1-D Gauss-Hermite rule, every term.
+
+    The difference form of `tensor_mi_oracle` along the line: the exponents are
+    -(g d)^2 / sigma_s^2 - 2 g d x / sigma_s with d = Gamma_m - Gamma_i and x a node.
+    """
+    points = np.asarray(points, dtype=float)
+    x, wq = hermgauss(nodes)
+    acc = 0.0
+    for m in range(len(points)):
+        dm = gain * (points[m] - points) / math.sqrt(noise_var)
+        t = -(dm[:, None] ** 2 + 2.0 * dm[:, None] * x[None, :])
+        tmax = np.maximum(t.max(axis=0), 0.0)
+        lse = tmax / math.log(2.0) + np.log2(np.exp(t - tmax).sum(axis=0))
+        acc += float((wq * lse).sum()) / math.sqrt(math.pi)
+    return math.log2(len(points)) - acc / len(points)
+
+
+def full_hermite_rule(nodes: int, region: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every node and weight of the 1-D, tensor or half-plane rule, in the engine's order."""
+    x, w = hermgauss(nodes)
+    if region == "line":
+        return x.astype(complex), w / math.sqrt(math.pi)
+    z, weights = x[:, None] + 1j * x[None, :], np.outer(w, w) / math.pi
+    if region == "half_plane":
+        upper = x >= 0.0
+        z, weights = z[:, upper], weights[:, upper] * np.where(x[upper] > 0.0, 2.0, 1.0)
+    return z.ravel(), weights.ravel()
+
+
+def kept(nodes: int, region: str) -> int:
+    """Nodes the engine's truncated rule evaluates at one level."""
+    return len(_hermite_rule(nodes, region)[0])
 
 
 def whole_log_ratio_oracle(y, conditioned, points, gain: float, noise_var: float) -> np.ndarray:
@@ -168,6 +203,66 @@ class TestLogRatioKernel:
         assert np.array_equal(got, whole_log_ratio_oracle(y, m, points, g, g))
 
 
+class TestTruncatedRule:
+    """Each rule drops only nodes whose share of any estimate is below rounding."""
+
+    @given(M=st.integers(2, 16), log_gain=st.floats(-2.0, 8.0), log_noise=st.floats(-2.0, 8.0),
+           seed=st.integers(0, 2**16), radius=st.floats(0.0, 12.0))
+    @settings(max_examples=60, deadline=None)
+    def test_log_ratio_lies_between_the_cut_bounds(self, M, log_gain, log_noise, seed, radius):
+        # -|z|^2 / ln 2 <= v(z) <= log2 M at a unit-noise node z: the bound the
+        # cut rests on.  The lower one holds to the rounding of the exponents.
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-1.0, 1.0, M) + 1j * rng.uniform(-1.0, 1.0, M)
+        gain, noise_var = 10.0**log_gain, 10.0**log_noise
+        z = radius * rng.uniform(0.0, 1.0, 64) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 64))
+        m = rng.integers(0, M, size=64)
+        y = gain * points[m] + math.sqrt(noise_var) * z
+        v = _log_ratio_bits(y, m, points, gain, noise_var)
+        scaled = np.abs(gain * points)
+        exponent_scale = (scaled.max() ** 2 + 2.0 * scaled.max() * np.abs(y)) / noise_var
+        assert np.all(v <= math.log2(M))
+        assert np.all(v >= -(np.abs(z) ** 2 + 1e-13 * (1.0 + exponent_scale)) / math.log(2.0))
+
+    @pytest.mark.parametrize("region", ["line", "plane", "half_plane"])
+    def test_dropped_tails_are_below_rounding(self, region):
+        budget = 2.0**-60
+        for nodes in DEFAULT_NODE_SCHEDULE:
+            z, w = full_hermite_rule(nodes, region)
+            kept_z, kept_w = _hermite_rule(nodes, region)
+            r2 = np.abs(z) ** 2
+            edge = np.abs(kept_z).max() ** 2
+            inside = r2 <= edge
+            # A disc of the rule, in the rule's order, with the rule's weights.
+            assert np.array_equal(kept_z, z[inside]) and np.array_equal(kept_w, w[inside])
+            assert w[~inside].sum() <= budget and (w * r2)[~inside].sum() <= budget, nodes
+            # The smallest such disc: dropping its outermost nodes too would not fit.
+            outer = r2 >= edge
+            assert w[outer].sum() > budget or (w * r2)[outer].sum() > budget, nodes
+            assert kept_w.min() >= np.finfo(float).tiny, nodes
+            assert len(kept_z) < len(z), nodes
+
+    @pytest.mark.parametrize("nodes", [64, 144])
+    def test_values_match_the_uncut_rule(self, nodes):
+        # The cut moves no value beyond rounding, from g = 1e-2 to 1e8.
+        for g in (1e-2, 1.0, 1e2, 1e4, 1e8):
+            cases = [(mpsk_constellation(M, 0.9, 0.1 / M), MrcStatistics(g, g), (0,))
+                     for M in (4, 8, 16)]
+            cases.append((explicit_constellation([0.9, 0.5j, -0.3 - 0.4j]),
+                          MrcStatistics(g, g), None))
+            cases.append((mpsk_constellation(4, 0.8, 0.3), MrcStatistics(g, 0.3 * g), (0,)))
+            for c, stats, conditioned in cases:
+                points = c.points if conditioned is None else turned_ring(c.points)
+                est = mi_quadrature(c, stats, node_schedule=(nodes, nodes))
+                ref = tensor_mi_oracle(points, stats.gain, stats.noise_var, nodes, conditioned)
+                assert abs(est.value_bits - ref) <= 1e-12, (c.points, stats)
+            for M in (2, 16, 256):
+                c = mask_constellation(M, 0.3)
+                est = mi_quadrature(c, MrcStatistics(g, g), node_schedule=(nodes, nodes))
+                ref = line_mi_oracle(canonical_points(c.points).real, g, g, nodes)
+                assert abs(est.value_bits - ref) <= 1e-12, (M, g)
+
+
 class TestMiQuadrature:
     def test_zero_gain_carries_no_information(self):
         est = mi_quadrature(mask_constellation(4, 0.0), MrcStatistics(0.0, 0.0))
@@ -280,7 +375,9 @@ class TestMiQuadrature:
             kernel_entries.clear()
             est = mi_quadrature(explicit_constellation(points), MrcStatistics(g, g))
             # Both lines are symmetric about their midpoints: ceil(M/2) terms.
-            assert all(entries == (M + 1) // 2 * M * nodes for nodes, entries in kernel_entries)
+            terms = (M + 1) // 2
+            assert all(entries == terms * M * kept(nodes, "line") < terms * M * nodes
+                       for nodes, entries in kernel_entries)
             ref = mi_quadrature(mask, MrcStatistics(g, g))
             assert abs(est.value_bits - ref.value_bits) <= 1e-12, g
 
@@ -289,7 +386,8 @@ class TestMiQuadrature:
         points = [0.4j * rot, (-0.5 + 0.4j) * rot, (0.5 + 0.401j) * rot]
         mi_quadrature(explicit_constellation(points), MrcStatistics(40.0, 40.0))
         assert kernel_entries
-        assert all(entries == 3 * 3 * nodes**2 for nodes, entries in kernel_entries)
+        assert all(entries == 3 * 3 * kept(nodes, "plane") < 3 * 3 * nodes**2
+                   for nodes, entries in kernel_entries)
 
     def test_rotation_symmetry_is_read_from_the_points(self, kernel_entries):
         stats = MrcStatistics(40.0, 40.0)
@@ -297,32 +395,38 @@ class TestMiQuadrature:
         ring = explicit_constellation([p * rot for p in mpsk_constellation(8, 0.9, 0.1).points])
         mi_quadrature(ring, stats)
         assert kernel_entries
-        assert all(entries == 8 * nodes * nodes // 2 for nodes, entries in kernel_entries)
+        assert all(entries == 8 * kept(nodes, "half_plane") < 8 * nodes * nodes // 2
+                   for nodes, entries in kernel_entries)
         # Three points off any equally spaced ring keep every conditioned term.
         kernel_entries.clear()
         mi_quadrature(explicit_constellation([0.9 + 0j, 0.5j, -0.3 - 0.4j]), stats)
         assert kernel_entries
-        assert all(entries == 3 * 3 * nodes**2 for nodes, entries in kernel_entries)
+        assert all(entries == 3 * 3 * kept(nodes, "plane") < 3 * 3 * nodes**2
+                   for nodes, entries in kernel_entries)
 
     @pytest.mark.parametrize("scheme", ["mask", "mpsk"])
     def test_work_per_level_follows_structure(self, kernel_entries, scheme):
-        # Deterministic guard against a silent fall back to all M terms or to
-        # the full tensor rule: M/2 terms of M n entries on the mirrored line,
-        # M n^2 / 2 for the one mpsk term on the half plane.
+        # Deterministic guard against a silent fall back to all M terms, to
+        # the full tensor rule or to an uncut rule: M/2 terms of M entries per
+        # kept node of the n-node line rule on the mirrored line, M per kept
+        # node of the n^2 / 2 half-plane nodes for the one mpsk term.
         M = 16
         c = mask_constellation(M, 0.3) if scheme == "mask" else mpsk_constellation(M, 0.9, 0.1)
         mi_quadrature(c, MrcStatistics(200.0, 200.0))
         assert len(kernel_entries) >= 2
         for nodes, entries in kernel_entries:
-            assert entries == (M // 2 * M * nodes if scheme == "mask"
-                               else M * nodes * nodes // 2), nodes
+            if scheme == "mask":
+                assert entries == M // 2 * M * kept(nodes, "line") < M // 2 * M * nodes, nodes
+            else:
+                assert entries == M * kept(nodes, "half_plane") < M * nodes * nodes // 2, nodes
 
     def test_line_terms_follow_its_mirror_symmetry(self, kernel_entries):
         stats = MrcStatistics(40.0, 40.0)
         for points, terms in (([0.0, 0.1, 1.0], 3), (mask_constellation(3, 0.0).points, 2)):
             kernel_entries.clear()
             est = mi_quadrature(explicit_constellation(points), stats, node_schedule=(96, 96))
-            assert kernel_entries == [[96, terms * 3 * 96]] * 2
+            assert kernel_entries == [[96, terms * 3 * kept(96, "line")]] * 2
+            assert kept(96, "line") < 96
             # [0, 0.1, 1] has no mirror and keeps all M terms; an odd mask
             # set evaluates ceil(M/2) and counts its middle term once.
             ref = tensor_mi_oracle(np.real(points), 40.0, 40.0, 96)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -44,6 +45,22 @@ def ask_infinite_quadrature(sys, ch, phi0):
     val, _ = quad(lambda a: math.log2(1.0 + rho * abs(ch.h1 + h23 * a * rot) ** 2),
                   0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=400)
     return val
+
+
+def ask_infinite_mp(sys, ch, phi0, digits: int = 50) -> float:
+    """Independent oracle: the defining integral at `digits` digits on the exact double inputs.
+
+    The SNR rho |h1 + h2 h3 a e^{j psi}|^2 is formed from its real and imaginary
+    parts, and the integral is split where it is smallest.
+    """
+    with mpmath.workdps(digits):
+        rho, a1, a23 = (mpmath.mpf(v) for v in (sys.snr_scale, ch.a1, ch.a23))
+        psi = mpmath.mpf(ch.theta0 + phi0)
+        re, im = a23 * mpmath.cos(psi), a23 * mpmath.sin(psi)
+        low = -a1 * re / (a23 * a23)
+        value = mpmath.quad(lambda a: mpmath.log(1 + rho * ((a1 + re * a) ** 2 + (im * a) ** 2)),
+                            [0, low, 1] if 0 < low < 1 else [0, 1])
+        return float(value / mpmath.log(2))
 
 
 class TestNoBdRate:
@@ -157,6 +174,21 @@ class TestAskInfinite:
         ch = ChannelTriple(h1=1 + 0j, h2=0j, h3=1 + 0j)
         with pytest.raises(ValueError, match="degenerate"):
             pt_rate_ask_infinite(UNIT_SYS, ch, 0.0)
+
+    def test_nearly_cancelling_paths_match_high_precision_integral(self):
+        # |h1| / |h2 h3| - 1 and psi - pi each +-1e-12..1e-2: both pieces of
+        # S - 1 are tiny, and 2 sqrt(b c3) (1 + cos psi) must not be formed as
+        # 2 sqrt(b c3) + c2 (that left relative errors up to 9.5e-12 here).
+        rng = np.random.default_rng(2026)
+        for _ in range(30):
+            rho = float(10 ** rng.uniform(2, 20))
+            ratio, offset = (float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-12, -2))
+                             for _ in range(2))
+            sys = SystemParams(power_w=rho, noise_w=1.0, spread=1)
+            ch = ChannelTriple(h1=complex(1.0 + ratio), h2=1 + 0j, h3=1 + 0j)
+            closed = pt_rate_ask_infinite(sys, ch, math.pi + offset)
+            oracle = ask_infinite_mp(sys, ch, math.pi + offset)
+            assert abs(closed - oracle) <= 1e-14 * abs(oracle), (rho, ratio, offset)
 
     @pytest.mark.parametrize("rho", [1e8, 1e12, 1e15, 1e16, 1e20])
     def test_cancelling_paths(self, rho):
