@@ -45,10 +45,10 @@ from .constellation import Constellation
 
 _LN2 = math.log(2.0)
 
-#: Node counts tried in turn until two consecutive estimates agree.  The
-#: rule's weights overflow beyond roughly 400 nodes, so the ladder stops at
-#: 324; the hardest regime (transition sitting a few noise deviations out)
-#: converges to ~1e-9 there.
+#: Node counts tried in turn until two consecutive estimates agree.  numpy's
+#: rule loses its weights past about 370 nodes (`_hermgauss` checks them), so
+#: the ladder stops at 324; the hardest regime (transition sitting a few noise
+#: deviations out) converges to ~1e-9 there.
 DEFAULT_NODE_SCHEDULE = (64, 96, 144, 216, 324)
 DEFAULT_MI_TOL = 1e-8
 
@@ -157,9 +157,12 @@ def _log_ratio_bits(y: np.ndarray, conditioned: int | np.ndarray, points: np.nda
 @lru_cache(maxsize=8)
 def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """numpy's Gauss-Hermite nodes and weights, computed once per node count for both rules."""
-    if nodes > 400:
-        raise ValueError(f"Hermite rule weights overflow above ~400 nodes, got {nodes}")
-    return hermgauss(nodes)
+    with np.errstate(all="ignore"):  # past ~370 nodes numpy's weights go to 0, then to nan
+        x, w = hermgauss(nodes)
+        usable = np.all(w > 0.0) and math.isclose(w.sum(), math.sqrt(math.pi), rel_tol=1e-12)
+    if not usable:
+        raise ValueError(f"numpy's {nodes}-node Gauss-Hermite rule has no usable weights")
+    return x, w
 
 
 def _kept_radius2(r2: np.ndarray, w: np.ndarray, w_r2: np.ndarray,

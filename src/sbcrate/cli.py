@@ -23,13 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from .bd_rate import PrecisionError, bd_rate, mi_monte_carlo, mrc_statistics, mi_quadrature
-from .channel import TWO_PI
 from .constellation import equal_power_psk_amplitude, mask_points, mpsk_points
-from .phase_opt import optimal_phase_psk
+from .phase_opt import optimal_phase, phase_period
 from .pt_rate import (_rate_bits, mask_rate_curve, max_pt_rate_ask, max_pt_rate_psk,
                       mpsk_rate_curve, psk_optimal_offset, pt_rate_finite, pt_rate_no_bd,
                       pt_rate_psk_infinite, rate_gain)
-from .scenario import Scenario, ScenarioError, base_phase_period, load_scenario, scenario_hash
+from .scenario import Scenario, ScenarioError, load_scenario, scenario_hash
 
 #: Equal-power ring amplitude in the infinite-order limit of the amplitude grid.
 _EQUAL_POWER_LIMIT = math.sqrt(1.0 / 3.0)
@@ -60,7 +59,7 @@ def cmd_phase_sweep(scn: Scenario, args) -> list[str]:
         raise ScenarioError("phase-sweep needs sweep.variable = 'base_phase'")
     sy, ch = scn.system, scn.channel()
     M = scn.order
-    limit = base_phase_period(scn.scheme, M)
+    limit = phase_period(scn.scheme, M)
     lo = scn.sweep.lo if scn.sweep.lo is not None else 0.0
     hi = scn.sweep.hi if scn.sweep.hi is not None else limit
     if not (0.0 <= lo < hi <= limit):
@@ -191,7 +190,8 @@ def cmd_order_sweep(scn: Scenario, args) -> list[str]:
         ask = max_pt_rate_ask(sy, ch, M)
         psk = max_pt_rate_psk(sy, ch, M, alpha0)
         # Anti-optimal base phase: half a symbol spacing off the optimum.
-        sub_phase = (optimal_phase_psk(ch.theta0, M).phase_rad + math.pi / M) % (TWO_PI / M)
+        opt_phase = optimal_phase("mpsk", M, ch.theta0).phase_rad
+        sub_phase = (opt_phase + math.pi / M) % phase_period("mpsk", M)
         sub = float(mpsk_rate_curve(sy, ch, M, alpha0, np.array([sub_phase]))[0])
         lines.append(f"{M},{_fmt(ask)},{_fmt(psk)},{_fmt(sub)}")
     alpha_inf = scn.amplitude if isinstance(scn.amplitude, float) else _EQUAL_POWER_LIMIT

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,20 +54,17 @@ def _warn_low_spread(L: int) -> None:
                       f"assumes L >> 1", stacklevel=3)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulatedBlock:
     """One simulated transmission block.
 
     `bd_symbol_indices` are 0-based positions into the constellation, each
-    constant over its L-sample span of `pt_symbols`.  The receiver fills
-    `residual` and `mrc_outputs`.
+    constant over its L-sample span of `pt_symbols`.
     """
 
     pt_symbols: np.ndarray
     bd_symbol_indices: np.ndarray
     received: np.ndarray
-    residual: np.ndarray | None = field(default=None)
-    mrc_outputs: np.ndarray | None = field(default=None)
 
     def __post_init__(self) -> None:
         if len(self.pt_symbols) != len(self.received):
@@ -116,30 +113,23 @@ def _simulate(sys: SystemParams, ch: ChannelTriple, c: Constellation, n_bd: int,
     return SimulatedBlock(pt_symbols=s, bd_symbol_indices=idx, received=y)
 
 
-def sic_mrc_receiver(block: SimulatedBlock, sys: SystemParams,
-                     ch: ChannelTriple) -> np.ndarray:
+def sic_mrc_receiver(block: SimulatedBlock, sys: SystemParams, ch: ChannelTriple,
+                     residual: np.ndarray | None = None) -> np.ndarray:
     """Cancel the direct path, then combine each L-span against the residual.
 
     residual(n) = y(n) - sqrt(P) h1 s(n);
     out(m) = sum_n (sqrt(P) h2 h3 s(n))* residual(n) / sigma^2 over span m.
     Assumes the primary symbols and both cascaded coefficients are known
-    exactly, as in the analytical model.
-    """
-    block.residual = np.empty(len(block.received), dtype=complex)
-    block.mrc_outputs = _combine(block, sys, ch, block.residual)
-    return block.mrc_outputs
-
-
-def _combine(block: SimulatedBlock, sys: SystemParams, ch: ChannelTriple,
-             residual: np.ndarray) -> np.ndarray:
-    """The receiver's outputs, its residual written to `residual` (may be `block.received`).
-
-    Works on about `_KERNEL_BLOCK` samples at a time, so no temporary spans
-    the whole block; each span is summed on its own, so the outputs do not
-    depend on how many spans a step takes.
+    exactly, as in the analytical model.  Returns `out`; the residual goes to
+    `residual` if given, a complex buffer the length of the block that may be
+    `block.received` itself.  Works on about `_KERNEL_BLOCK` samples at a
+    time, so no temporary spans the whole block; each span is summed on its
+    own, so the outputs do not depend on how many spans a step takes.
     """
     L = sys.spread
     n_bd = len(block.bd_symbol_indices)
+    if residual is None:
+        residual = np.empty(len(block.received), dtype=complex)
     s = block.pt_symbols.reshape(n_bd, L)
     y = block.received.reshape(n_bd, L)
     res = residual.reshape(n_bd, L)
@@ -175,7 +165,7 @@ def empirical_bd_mi(sys: SystemParams, ch: ChannelTriple, c: Constellation,
     def values(chunk_index: int, n: int) -> np.ndarray:
         block = _simulate(sys, ch, c, n, rng.generator(chunk_index), True)
         # The residual is not kept, so it overwrites the received samples.
-        y = _combine(block, sys, ch, block.received)
+        y = sic_mrc_receiver(block, sys, ch, block.received)
         return _log_ratio_bits(y, block.bd_symbol_indices, points,
                                stats.gain, stats.noise_var)
 

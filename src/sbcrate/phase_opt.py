@@ -22,27 +22,19 @@ class PhaseSolution:
     wrap_index: int
 
 
-def optimal_phase_ask(theta0: float) -> PhaseSolution:
-    """Common phase maximizing the amplitude-keyed rate: (-theta0) mod 2pi.
+def phase_period(scheme: str, M: int) -> float:
+    """Period of the rate in the base phase: 2pi for mask, the symbol spacing 2pi/M for mpsk."""
+    return TWO_PI if scheme == "mask" else TWO_PI / M
 
-    Every summand of the rate is maximized simultaneously when
-    cos(theta0 + phi0) = 1; the wrap index is the integer lambda with
-    phi0 = 2 lambda pi - theta0.  Independent of the modulation order.
+
+def optimal_phase(scheme: str, M: int, theta0: float) -> PhaseSolution:
+    """Base phase maximizing the primary rate: (offset - theta0) mod `phase_period`.
+
+    The offset is 0 for mask, whose rate summands all peak at cos(theta0 + phi0)
+    = 1 whatever M, and :func:`~sbcrate.pt_rate.psk_optimal_offset` for mpsk (pi/M
+    for even M, 0 for odd M).  The wrap index k has phi0 = offset + k period - theta0.
     """
-    phase = _wrap_phase(-theta0, TWO_PI)
-    lam = round((phase + theta0) / TWO_PI)
-    return PhaseSolution(phase_rad=phase, wrap_index=int(lam))
-
-
-def optimal_phase_psk(theta0: float, M: int) -> PhaseSolution:
-    """Base phase maximizing the order-M phase-keyed rate: (offset - theta0) mod 2pi/M.
-
-    The offset is :func:`~sbcrate.pt_rate.psk_optimal_offset`: pi/M for even
-    M, 0 for odd M.  The wrap index eta satisfies
-    phi0 = offset + 2 eta pi / M - theta0.
-    """
-    offset = psk_optimal_offset(M)
-    period = TWO_PI / M
+    offset = 0.0 if scheme == "mask" else psk_optimal_offset(M)
+    period = phase_period(scheme, M)
     phase = _wrap_phase(offset - theta0, period)
-    eta = round((phase + theta0 - offset) / period)
-    return PhaseSolution(phase_rad=phase, wrap_index=int(eta))
+    return PhaseSolution(phase, int(round((phase + theta0 - offset) / period)))

@@ -17,10 +17,10 @@ import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .channel import TWO_PI, ChannelTriple, PathLossModel, SystemParams, channel_from_path_loss
+from .channel import ChannelTriple, PathLossModel, SystemParams, channel_from_path_loss
 from .constellation import (Constellation, equal_power_psk_amplitude, explicit_constellation,
                             mask_constellation, mpsk_constellation)
-from .phase_opt import PhaseSolution, optimal_phase_ask, optimal_phase_psk
+from .phase_opt import PhaseSolution, optimal_phase, phase_period
 
 
 class ScenarioError(ValueError):
@@ -33,11 +33,6 @@ def db_to_linear(db: float) -> float:
 
 def dbm_to_watt(dbm: float) -> float:
     return 1e-3 * 10.0 ** (dbm / 10.0)
-
-
-def base_phase_period(scheme: str, order: int) -> float:
-    """Period of the rate in the base phase: 2pi for mask, one symbol spacing for mpsk."""
-    return TWO_PI if scheme == "mask" else TWO_PI / order
 
 
 #: Section V operating point: carrier wavelength 0.33 m, exponent 3.5,
@@ -102,13 +97,9 @@ class Scenario:
     """Validated scenario: all referenced module preconditions hold."""
 
     pathloss: PathLossModel
-    l1: complex
-    l2: complex
-    l3: complex
-    l1_prime: complex | None
-    l2_prime: complex | None
-    l3_prime: complex | None
-    use_prime: bool
+    fading: tuple[complex, complex, complex]              # l1, l2, l3
+    fading_prime: tuple[complex, complex, complex] | None  # their primed twins, if given
+    use_prime: bool                                       # parsing checks the twins exist
     system: SystemParams
     scheme: str
     order: int
@@ -119,12 +110,8 @@ class Scenario:
     seed: int
 
     def channel(self) -> ChannelTriple:
-        if self.use_prime:
-            if self.l1_prime is None:
-                raise ScenarioError("fading.use_prime is set but no primed samples given")
-            return channel_from_path_loss(self.pathloss, self.l1_prime,
-                                          self.l2_prime, self.l3_prime)
-        return channel_from_path_loss(self.pathloss, self.l1, self.l2, self.l3)
+        links = self.fading_prime if self.use_prime else self.fading
+        return channel_from_path_loss(self.pathloss, *links)
 
     def resolved_alpha0(self, order: int | None = None) -> float:
         """Ring amplitude for phase keying at the given (or scenario) order."""
@@ -134,9 +121,7 @@ class Scenario:
 
     def optimal_phase(self, ch: ChannelTriple) -> PhaseSolution:
         """The closed-form rate-maximizing base phase for this scheme and order."""
-        if self.scheme == "mask":
-            return optimal_phase_ask(ch.theta0)
-        return optimal_phase_psk(ch.theta0, self.order)
+        return optimal_phase(self.scheme, self.order, ch.theta0)
 
     def build_constellation(self, ch: ChannelTriple) -> Constellation:
         """The scenario's symbols at its base phase, or at the optimum when none is given."""
@@ -156,10 +141,31 @@ _LINKS = ("l1", "l2", "l3")
 _PRIMED = tuple(f"{k}_prime" for k in _LINKS)
 
 
-def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
+def _section(raw: dict, name: str, keys) -> dict:
+    """`raw[name]`, checked to be an object holding only the given keys."""
+    section = raw[name]
+    if not isinstance(section, dict):
+        raise ScenarioError(f"scenario.{name} must be an object, got {section!r}")
     for key in section:
-        if key not in allowed:
-            raise ScenarioError(f"unknown key '{where}.{key}'")
+        if key not in keys:
+            raise ScenarioError(f"unknown key '{name}.{key}'")
+    return section
+
+
+def _required(section: dict, name: str):
+    """The value at `name` ("<section>.<key>"), which must be present."""
+    key = name.partition(".")[2]
+    if key not in section:
+        raise ScenarioError(f"missing key '{name}'")
+    return section[key]
+
+
+def _model(cls, where: str, **values):
+    """`cls(**values)`, the model's own ValueError reported as an invalid `where`."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ScenarioError(f"invalid {where}: {exc}") from None
 
 
 def _number(value, name: str) -> float:
@@ -200,63 +206,43 @@ def parse_scenario(raw: dict) -> Scenario:
     """Validate a raw scenario dictionary into a :class:`Scenario`."""
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
-    _reject_unknown(raw, {"pathloss", "fading", "system", "modulation", "sweep", "seed"},
-                    "scenario")
+    for key in raw:
+        if key not in ("pathloss", "fading", "system", "modulation", "sweep", "seed"):
+            raise ScenarioError(f"unknown key 'scenario.{key}'")
     for required in ("pathloss", "fading", "system", "modulation"):
         if required not in raw:
             raise ScenarioError(f"missing section 'scenario.{required}'")
 
-    pl = raw["pathloss"]
     gains = [k for k in _PATHLOSS_KEYS if k.startswith("gain_")]
-    _reject_unknown(pl, {*_PATHLOSS_KEYS, *(f"{k}_db" for k in gains)}, "pathloss")
-    try:
-        model = PathLossModel(**{
-            k: (_pick_linear(pl, k, f"{k}_db", db_to_linear, "pathloss") if k in gains
-                else _number(pl[k], f"pathloss.{k}"))
-            for k in _PATHLOSS_KEYS})
-    except ScenarioError:
-        raise
-    except KeyError as exc:
-        raise ScenarioError(f"missing key 'pathloss.{exc.args[0]}'") from None
-    except ValueError as exc:
-        raise ScenarioError(f"invalid pathloss: {exc}") from None
+    pl = _section(raw, "pathloss", {*_PATHLOSS_KEYS, *(f"{k}_db" for k in gains)})
+    model = _model(PathLossModel, "pathloss", **{
+        k: (_pick_linear(pl, k, f"{k}_db", db_to_linear, "pathloss") if k in gains
+            else _number(_required(pl, f"pathloss.{k}"), f"pathloss.{k}"))
+        for k in _PATHLOSS_KEYS})
 
-    fd = raw["fading"]
-    _reject_unknown(fd, {*_LINKS, *_PRIMED, "use_prime"}, "fading")
-    try:
-        l1, l2, l3 = [_parse_complex(fd[k], f"fading.{k}") for k in _LINKS]
-    except KeyError as exc:
-        raise ScenarioError(f"missing key 'fading.{exc.args[0]}'") from None
+    fd = _section(raw, "fading", {*_LINKS, *_PRIMED, "use_prime"})
+    fading = tuple(_parse_complex(_required(fd, f"fading.{k}"), f"fading.{k}") for k in _LINKS)
     primes = [fd.get(k) for k in _PRIMED]
     if any(p is not None for p in primes) and not all(p is not None for p in primes):
         raise ScenarioError("fading primed samples must be given for all three links or none")
-    lp = [(_parse_complex(p, f"fading.{k}") if p is not None else None)
-          for k, p in zip(_PRIMED, primes)]
+    fading_prime = (tuple(_parse_complex(p, f"fading.{k}") for k, p in zip(_PRIMED, primes))
+                    if primes[0] is not None else None)
     use_prime = fd.get("use_prime", False)
     if not isinstance(use_prime, bool):
         raise ScenarioError(f"fading.use_prime must be a boolean, got {use_prime!r}")
-    if use_prime and lp[0] is None:
+    if use_prime and fading_prime is None:
         raise ScenarioError("fading.use_prime is set but no primed samples given")
 
-    sy = raw["system"]
-    _reject_unknown(sy, {"power_w", "noise_w", "noise_dbm", "spread"}, "system")
-    try:
-        noise_w = _pick_linear(sy, "noise_w", "noise_dbm", dbm_to_watt, "system")
-        spread = sy.get("spread", 128)
-        if not isinstance(spread, int) or isinstance(spread, bool):
-            raise ScenarioError(f"system.spread must be an integer, got {spread!r}")
-        system = SystemParams(power_w=_number(sy["power_w"], "system.power_w"), noise_w=noise_w,
-                              spread=spread)
-    except ScenarioError:
-        raise
-    except KeyError as exc:
-        raise ScenarioError(f"missing key 'system.{exc.args[0]}'") from None
-    except ValueError as exc:
-        raise ScenarioError(f"invalid system: {exc}") from None
+    sy = _section(raw, "system", {"power_w", "noise_w", "noise_dbm", "spread"})
+    noise_w = _pick_linear(sy, "noise_w", "noise_dbm", dbm_to_watt, "system")
+    spread = sy.get("spread", 128)
+    if not isinstance(spread, int) or isinstance(spread, bool):
+        raise ScenarioError(f"system.spread must be an integer, got {spread!r}")
+    system = _model(SystemParams, "system", noise_w=noise_w, spread=spread,
+                    power_w=_number(_required(sy, "system.power_w"), "system.power_w"))
 
-    mo = raw["modulation"]
-    _reject_unknown(mo, {"scheme", "order", "amplitude", "base_phase", "min_bd_rate_bits"},
-                    "modulation")
+    mo = _section(raw, "modulation",
+                  {"scheme", "order", "amplitude", "base_phase", "min_bd_rate_bits"})
     scheme = mo.get("scheme")
     if scheme not in ("mask", "mpsk"):
         raise ScenarioError(f"modulation.scheme must be 'mask' or 'mpsk', got {scheme!r}")
@@ -276,7 +262,7 @@ def parse_scenario(raw: dict) -> Scenario:
         base_phase = None
     else:
         base_phase = _number(base_phase, "modulation.base_phase")
-        limit = base_phase_period(scheme, order)
+        limit = phase_period(scheme, order)
         if not (0.0 <= base_phase < limit):
             raise ScenarioError(f"modulation.base_phase {base_phase!r} outside [0, {limit:g}) "
                                 f"for scheme {scheme!r} order {order}")
@@ -285,37 +271,22 @@ def parse_scenario(raw: dict) -> Scenario:
         raise ScenarioError(f"modulation.min_bd_rate_bits must be >= 0, got {min_bd!r}")
 
     sweep = None
-    if "sweep" in raw and raw["sweep"] is not None:
-        sw = raw["sweep"]
-        _reject_unknown(sw, {f.name for f in fields(SweepSpec)}, "sweep")
-        try:
-            sweep = SweepSpec(
-                variable=sw["variable"],
-                steps=sw["steps"],
-                lo=(_number(sw["lo"], "sweep.lo") if "lo" in sw else None),
-                hi=(_number(sw["hi"], "sweep.hi") if "hi" in sw else None),
-            )
-        except KeyError as exc:
-            raise ScenarioError(f"missing key 'sweep.{exc.args[0]}'") from None
+    if raw.get("sweep") is not None:
+        sw = _section(raw, "sweep", {f.name for f in fields(SweepSpec)})
+        # SweepSpec names its own faults.
+        sweep = SweepSpec(variable=_required(sw, "sweep.variable"),
+                          steps=_required(sw, "sweep.steps"),
+                          lo=(_number(sw["lo"], "sweep.lo") if "lo" in sw else None),
+                          hi=(_number(sw["hi"], "sweep.hi") if "hi" in sw else None))
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ScenarioError(f"seed must be a non-negative integer, got {seed!r}")
 
-    return Scenario(
-        pathloss=model,
-        l1=l1, l2=l2, l3=l3,
-        l1_prime=lp[0], l2_prime=lp[1], l3_prime=lp[2],
-        use_prime=use_prime,
-        system=system,
-        scheme=scheme,
-        order=order,
-        amplitude=amplitude,
-        base_phase=base_phase,
-        min_bd_rate_bits=min_bd,
-        sweep=sweep,
-        seed=seed,
-    )
+    return Scenario(pathloss=model, fading=fading, fading_prime=fading_prime,
+                    use_prime=use_prime, system=system, scheme=scheme, order=order,
+                    amplitude=amplitude, base_phase=base_phase, min_bd_rate_bits=min_bd,
+                    sweep=sweep, seed=seed)
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -325,6 +296,8 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     and fall back to bare strings, so `modulation.base_phase=optimal` works
     without quoting.
     """
+    if not isinstance(raw, dict):
+        raise ScenarioError("scenario must be a JSON object")
     out = json.loads(json.dumps(raw))  # deep copy, JSON types only
     for item in overrides:
         if "=" not in item:
@@ -362,15 +335,11 @@ def load_scenario(path: str | Path | None, overrides: list[str] | None = None) -
     return parse_scenario(raw)
 
 
-def _pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
 def scenario_to_dict(scn: Scenario) -> dict:
     """Canonical raw form: linear units, explicit optional fields."""
     out: dict = {
         "pathloss": asdict(scn.pathloss),
-        "fading": {k: _pair(getattr(scn, k)) for k in _LINKS},
+        "fading": {k: [z.real, z.imag] for k, z in zip(_LINKS, scn.fading)},
         "system": asdict(scn.system),
         "modulation": {
             "scheme": scn.scheme,
@@ -380,8 +349,8 @@ def scenario_to_dict(scn: Scenario) -> dict:
         },
         "seed": scn.seed,
     }
-    if scn.l1_prime is not None:
-        out["fading"].update({k: _pair(getattr(scn, k)) for k in _PRIMED})
+    if scn.fading_prime is not None:
+        out["fading"].update({k: [z.real, z.imag] for k, z in zip(_PRIMED, scn.fading_prime)})
     out["fading"]["use_prime"] = scn.use_prime
     if scn.scheme == "mpsk":
         out["modulation"]["amplitude"] = scn.amplitude

@@ -16,7 +16,7 @@ from sbcrate.channel import ChannelTriple, SystemParams
 from sbcrate.cli import main as cli_main
 from sbcrate.constellation import mask_constellation, mpsk_constellation
 from sbcrate.link_sim import RngSpec, empirical_bd_mi, sic_mrc_receiver, simulate_block
-from sbcrate.phase_opt import optimal_phase_ask, optimal_phase_psk
+from sbcrate.phase_opt import optimal_phase
 from sbcrate.pt_rate import (mask_rate_curve, mpsk_rate_curve, pt_rate_ask_infinite,
                              pt_rate_finite, pt_rate_no_bd, pt_rate_psk_infinite)
 
@@ -93,7 +93,7 @@ def test_criterion_03_mask_optimal_phase_vs_grid():
     worst_dist, worst_gap = 0.0, 0.0
     for _ in range(100):
         ch = random_channel(rng)
-        closed = optimal_phase_ask(ch.theta0).phase_rad
+        closed = optimal_phase("mask", 2, ch.theta0).phase_rad
         for m in (2, 4, 8, 16):
             obj = lambda p: mask_rate_curve(SECTION_V_SYS, ch, m, p)
             grid_phi, grid_val = grid_search_phase(obj, 0.0, TWO_PI, grid_points)
@@ -123,7 +123,7 @@ def test_criterion_04_psk_optimal_phase_vs_grid_including_odd_orders():
         ch = random_channel(rng)
         for m in (2, 4, 8, 16):
             period = TWO_PI / m
-            closed = optimal_phase_psk(ch.theta0, m).phase_rad
+            closed = optimal_phase("mpsk", m, ch.theta0).phase_rad
             obj = lambda p: mpsk_rate_curve(SECTION_V_SYS, ch, m, alpha0, p)
             grid = np.linspace(0.0, period, grid_points, endpoint=False)
             vals = obj(grid)
@@ -138,7 +138,7 @@ def test_criterion_04_psk_optimal_phase_vs_grid_including_odd_orders():
         if trial < 20:  # non-power-of-two audit on a subsample
             for m in (3, 5, 6):
                 period = TWO_PI / m
-                closed = optimal_phase_psk(ch.theta0, m).phase_rad
+                closed = optimal_phase("mpsk", m, ch.theta0).phase_rad
                 obj = lambda p: mpsk_rate_curve(SECTION_V_SYS, ch, m, alpha0, p)
                 grid_phi, _ = grid_search_phase(obj, 0.0, period, grid_points)
                 vals = obj(np.linspace(0.0, period, grid_points, endpoint=False))

@@ -479,6 +479,13 @@ class TestMiQuadrature:
         with pytest.raises(ValueError):
             mi_quadrature(mask_constellation(2, 0.0), MrcStatistics(1.0, 0.0))
 
+    @pytest.mark.parametrize("nodes", [371, 380, 401])
+    def test_node_count_without_a_usable_rule_is_named(self, nodes):
+        # numpy's weights are all 0 at 371 nodes and nan from 372 on.
+        with pytest.raises(ValueError, match=f"numpy's {nodes}-node Gauss-Hermite rule"):
+            mi_quadrature(mask_constellation(2, 0.3), MrcStatistics(10.0, 10.0),
+                          node_schedule=(64, nodes))
+
 
 class TestMiMonteCarlo:
     def test_zero_gain(self):

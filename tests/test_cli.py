@@ -93,6 +93,14 @@ class TestRateCommand:
             ("pathloss.gain_pt_db=5000", "pathloss.gain_pt_db = 5000 overflows in linear units"),
             ("modulation.scheme=qam", "modulation.scheme must be 'mask' or 'mpsk', got 'qam'"),
             ("modulation.order=1", "modulation.order must be an integer >= 2, got 1"),
+        ]] + [
+        # A section that is not an object is named, not iterated or indexed.
+        pytest.param(o, m, id=o) for o, m in [
+            ("pathloss=3", "scenario.pathloss must be an object, got 3"),
+            ("fading=null", "scenario.fading must be an object, got None"),
+            ("system=[1,2]", "scenario.system must be an object, got [1, 2]"),
+            ('modulation="mask"', "scenario.modulation must be an object, got 'mask'"),
+            ("sweep=5", "scenario.sweep must be an object, got 5"),
         ]])
     def test_malformed_scenario_names_key_and_exits_2(self, tmp_path, capsys, override,
                                                       message):
@@ -101,6 +109,13 @@ class TestRateCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err == f"scenario error: {message}\n"
+
+    def test_non_object_file_with_overrides_exits_2(self, tmp_path, capsys):
+        scn = tmp_path / "list.json"
+        scn.write_text("[1]")
+        code = main(["rate", "--scenario", str(scn), "--override", "seed=1"])
+        assert code == 2
+        assert capsys.readouterr().err == "scenario error: scenario must be a JSON object\n"
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["rate", "--scenario", str(tmp_path / "absent.json")])

@@ -92,11 +92,11 @@ def test_chain_matches_whole_array_oracle(default_channel, L, normalize):
     c = mpsk_constellation(4, 0.8, 0.1)
     block = simulate_block(sys, default_channel, c, 300, RngSpec(41, stream=L),
                            normalize_pt_power=normalize)
-    sic_mrc_receiver(block, sys, default_channel)
+    residual = np.empty(len(block.received), dtype=complex)
+    outputs = sic_mrc_receiver(block, sys, default_channel, residual)
     want = chain_oracle(sys, default_channel, c, 300, RngSpec(41, stream=L).generator(),
                         normalize)
-    got = (block.pt_symbols, block.bd_symbol_indices, block.received, block.residual,
-           block.mrc_outputs)
+    got = (block.pt_symbols, block.bd_symbol_indices, block.received, residual, outputs)
     for name, a, b in zip(("s", "indices", "received", "residual", "outputs"), got, want):
         assert np.array_equal(a, b), name
 
@@ -107,11 +107,24 @@ class TestSicMrcReceiver:
         sys = SystemParams(power_w=1.0, noise_w=1e-20, spread=64)
         c = mpsk_constellation(4, 0.9, 0.2)
         block = simulate_block(sys, ch, c, 16, RngSpec(21))
+        received = block.received.copy()
         out = sic_mrc_receiver(block, sys, ch)
         g = mrc_statistics(sys, ch).gain
         want = g * np.asarray(c.points)[block.bd_symbol_indices]
         assert np.allclose(out, want, rtol=1e-10)
-        assert block.mrc_outputs is not None and block.residual is not None
+        # Without a residual buffer the block is left as drawn.
+        assert np.array_equal(block.received, received)
+
+    def test_residual_may_overwrite_the_received_samples(self, default_channel):
+        # The streaming estimator passes `block.received` as the buffer.
+        sys = SystemParams(power_w=7.3e-4, noise_w=2.9e-13, spread=16)
+        c = mpsk_constellation(4, 0.8, 0.1)
+        block = simulate_block(sys, default_channel, c, 40, RngSpec(8))
+        residual = np.empty(len(block.received), dtype=complex)
+        out = sic_mrc_receiver(block, sys, default_channel, residual)
+        in_place = sic_mrc_receiver(block, sys, default_channel, block.received)
+        assert np.array_equal(in_place, out)
+        assert np.array_equal(block.received, residual)
 
     def test_real_valued_block_gives_a_complex_residual(self, default_channel):
         # A caller may build a block from real arrays; the residual and the
@@ -121,11 +134,13 @@ class TestSicMrcReceiver:
         s, y = gen.standard_normal(64), 1e-3 * gen.standard_normal(64)
         block = SimulatedBlock(pt_symbols=s, bd_symbol_indices=np.zeros(4, dtype=int),
                                received=y)
-        out = sic_mrc_receiver(block, sys, default_channel)
+        buffer = np.empty(64, dtype=complex)
+        out = sic_mrc_receiver(block, sys, default_channel, buffer)
         residual = y - math.sqrt(sys.power_w) * default_channel.h1 * s
         weights = (math.sqrt(sys.power_w) * default_channel.h2 * default_channel.h3 * s).conj()
-        assert block.residual.dtype == complex
-        assert np.array_equal(block.residual, residual)
+        # Its own residual buffer is complex too, or these outputs would differ.
+        assert np.array_equal(sic_mrc_receiver(block, sys, default_channel), out)
+        assert np.array_equal(buffer, residual)
         assert np.array_equal(out, (weights * residual).reshape(4, 16).sum(axis=1) / sys.noise_w)
 
     def test_residual_has_no_direct_component(self):
@@ -135,9 +150,10 @@ class TestSicMrcReceiver:
         sys = SystemParams(power_w=1.0, noise_w=0.01, spread=256)
         c = mpsk_constellation(2, 0.9, 0.1)
         block = simulate_block(sys, ch, c, 64, RngSpec(9))
-        sic_mrc_receiver(block, sys, ch)
+        residual = np.empty(len(block.received), dtype=complex)
+        sic_mrc_receiver(block, sys, ch, residual)
         s = block.pt_symbols.reshape(64, sys.spread)
-        res = block.residual.reshape(64, sys.spread)
+        res = residual.reshape(64, sys.spread)
         per_symbol = (res * s.conj()).sum(axis=1) / (np.abs(s) ** 2).sum(axis=1)
         gamma = np.asarray(c.points)[block.bd_symbol_indices]
         backscatter = math.sqrt(sys.power_w) * ch.h2 * ch.h3 * gamma

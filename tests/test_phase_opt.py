@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbcrate.channel import SystemParams
-from sbcrate.phase_opt import optimal_phase_ask, optimal_phase_psk
+from sbcrate.phase_opt import optimal_phase, phase_period
 from sbcrate.pt_rate import mask_rate_curve, max_pt_rate_psk, mpsk_rate_curve, pt_rate_finite
 from sbcrate.constellation import mask_constellation
 
@@ -23,24 +23,29 @@ def circular_distance(a: float, b: float, period: float) -> float:
 
 class TestOptimalPhaseAsk:
     def test_zero_channel_phase(self):
-        sol = optimal_phase_ask(0.0)
+        sol = optimal_phase("mask", 2, 0.0)
         assert sol.phase_rad == 0.0 and sol.wrap_index == 0
 
     def test_modular_negation(self):
-        sol = optimal_phase_ask(0.7)
+        sol = optimal_phase("mask", 2, 0.7)
         assert sol.phase_rad == pytest.approx(TWO_PI - 0.7, rel=1e-12)
         assert sol.wrap_index == 1
 
     @given(theta0=st.floats(0.0, TWO_PI, exclude_max=True))
     @settings(max_examples=100)
     def test_aligns_cosine(self, theta0):
-        sol = optimal_phase_ask(theta0)
+        sol = optimal_phase("mask", 2, theta0)
         assert 0.0 <= sol.phase_rad < TWO_PI
         assert math.cos(theta0 + sol.phase_rad) == pytest.approx(1.0, abs=1e-12)
 
+    @given(theta0=st.floats(-10.0, 10.0), m=st.integers(2, 256))
+    @settings(max_examples=100)
+    def test_one_phase_for_every_order(self, theta0, m):
+        assert optimal_phase("mask", m, theta0) == optimal_phase("mask", 2, theta0)
+
     def test_independent_of_order_by_construction(self, default_system, default_channel):
         # One phase maximizes the rate for every order simultaneously.
-        phi = optimal_phase_ask(default_channel.theta0).phase_rad
+        phi = optimal_phase("mask", 2, default_channel.theta0).phase_rad
         for m in (2, 4, 8, 16):
             obj = lambda p: mask_rate_curve(default_system, default_channel, m, p)
             grid_phi, grid_val = grid_search_phase(obj, 0.0, TWO_PI, 10_000)
@@ -57,7 +62,7 @@ class TestOptimalPhaseAsk:
             ch = channel_from_polar(*10 ** rng.uniform(-6, -3, size=3),
                                     *rng.uniform(0, TWO_PI, size=3))
             m = int(rng.choice([2, 4, 8]))
-            phi = optimal_phase_ask(ch.theta0).phase_rad
+            phi = optimal_phase("mask", m, ch.theta0).phase_rad
             gain = (pt_rate_finite(sys, ch, mask_constellation(m, phi))
                     - pt_rate_no_bd(sys, ch))
             assert gain > 0.0
@@ -65,17 +70,17 @@ class TestOptimalPhaseAsk:
 
 class TestOptimalPhasePsk:
     def test_binary_at_zero_channel_phase(self):
-        sol = optimal_phase_psk(0.0, 2)
+        sol = optimal_phase("mpsk", 2, 0.0)
         assert sol.phase_rad == pytest.approx(math.pi / 2, rel=1e-12)
 
     def test_quaternary_at_zero_channel_phase(self):
-        sol = optimal_phase_psk(0.0, 4)
+        sol = optimal_phase("mpsk", 4, 0.0)
         assert sol.phase_rad == pytest.approx(math.pi / 4, rel=1e-12)
 
     @given(theta0=st.floats(0.0, TWO_PI, exclude_max=True), m=st.sampled_from([2, 4, 8, 16]))
     @settings(max_examples=100)
     def test_formula_and_range(self, theta0, m):
-        sol = optimal_phase_psk(theta0, m)
+        sol = optimal_phase("mpsk", m, theta0)
         period = TWO_PI / m
         assert 0.0 <= sol.phase_rad < period
         want = (math.pi / m - theta0) % period
@@ -83,7 +88,7 @@ class TestOptimalPhasePsk:
 
     def test_matches_grid_search(self, default_system, default_channel):
         for m in (2, 4, 8, 16):
-            sol = optimal_phase_psk(default_channel.theta0, m)
+            sol = optimal_phase("mpsk", m, default_channel.theta0)
             obj = lambda p: mpsk_rate_curve(default_system, default_channel, m, 0.9, p)
             period = TWO_PI / m
             grid_phi, grid_val = grid_search_phase(obj, 0.0, period, 10_000)
@@ -105,7 +110,7 @@ class TestOptimalPhasePsk:
                 period = TWO_PI / m
                 grid = np.linspace(0.0, period, grid_points, endpoint=False)
                 vals = mpsk_rate_curve(sys, ch, m, alpha0, grid)
-                closed = optimal_phase_psk(ch.theta0, m).phase_rad
+                closed = optimal_phase("mpsk", m, ch.theta0).phase_rad
                 best = max_pt_rate_psk(sys, ch, m, alpha0)
                 assert best >= vals.max() - 1e-10
                 assert best == pytest.approx(
@@ -116,10 +121,23 @@ class TestOptimalPhasePsk:
 
     def test_varies_with_order(self):
         theta0 = 1.3
-        phases = {m: optimal_phase_psk(theta0, m).phase_rad for m in (2, 4, 8, 16)}
+        phases = {m: optimal_phase("mpsk", m, theta0).phase_rad for m in (2, 4, 8, 16)}
         for m, phi in phases.items():
             assert phi == pytest.approx((math.pi / m - theta0) % (TWO_PI / m), abs=1e-12)
         assert len(set(round(p, 9) for p in phases.values())) > 1
+
+
+class TestPhasePeriod:
+    def test_full_circle_for_mask_symbol_spacing_for_mpsk(self):
+        assert phase_period("mask", 8) == TWO_PI
+        assert phase_period("mpsk", 8) == TWO_PI / 8
+
+    @given(theta0=st.floats(-10.0, 10.0), scheme=st.sampled_from(["mask", "mpsk"]),
+           m=st.integers(2, 64))
+    @settings(max_examples=100)
+    def test_optimum_lies_in_one_period(self, theta0, scheme, m):
+        sol = optimal_phase(scheme, m, theta0)
+        assert 0.0 <= sol.phase_rad < phase_period(scheme, m)
 
 
 class TestGridSearch:
@@ -157,5 +175,5 @@ class TestGridSearch:
             m = int(rng.choice([2, 4, 8]))
             obj = lambda p: mask_rate_curve(sys, ch, m, p)
             grid_phi, _ = grid_search_phase(obj, 0.0, TWO_PI, 10_000)
-            closed = optimal_phase_ask(ch.theta0).phase_rad
+            closed = optimal_phase("mask", m, ch.theta0).phase_rad
             assert circular_distance(grid_phi, closed, TWO_PI) <= TWO_PI / 10_000

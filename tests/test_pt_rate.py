@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from sbcrate.channel import ChannelTriple, SystemParams
 from sbcrate.constellation import (explicit_constellation, mask_constellation,
                                    mpsk_constellation)
-from sbcrate.phase_opt import optimal_phase_ask, optimal_phase_psk
+from sbcrate.phase_opt import optimal_phase
 from sbcrate.pt_rate import (mask_rate_curve, max_pt_rate_ask, max_pt_rate_psk,
                              mpsk_rate_curve, pt_rate_ask_infinite, pt_rate_finite,
                              pt_rate_no_bd, pt_rate_psk_infinite, rate_gain)
@@ -253,7 +253,7 @@ class TestMaxRates:
             ch = channel_from_polar(*10 ** rng.uniform(-6, -3, size=3),
                                     *rng.uniform(0, TWO_PI, size=3))
             m = int(rng.integers(2, 17))
-            phi = optimal_phase_ask(ch.theta0).phase_rad
+            phi = optimal_phase("mask", m, ch.theta0).phase_rad
             direct = pt_rate_finite(sys, ch, mask_constellation(m, phi))
             assert max_pt_rate_ask(sys, ch, m) == pytest.approx(direct, rel=1e-12)
 
@@ -276,7 +276,7 @@ class TestMaxRates:
                                     *rng.uniform(0, TWO_PI, size=3))
             m = int(rng.integers(2, 17))
             alpha0 = float(rng.uniform(0.1, 1.0))
-            phi = optimal_phase_psk(ch.theta0, m).phase_rad
+            phi = optimal_phase("mpsk", m, ch.theta0).phase_rad
             direct = pt_rate_finite(sys, ch, mpsk_constellation(m, alpha0, phi))
             assert max_pt_rate_psk(sys, ch, m, alpha0) == pytest.approx(direct, rel=1e-12)
 

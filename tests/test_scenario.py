@@ -2,7 +2,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sbcrate.phase_opt import phase_period
 from sbcrate.scenario import (DEFAULT_SCENARIO, Scenario, ScenarioError, apply_overrides,
                               db_to_linear, dbm_to_watt, load_scenario, parse_scenario,
                               scenario_hash, scenario_to_dict, write_scenario)
@@ -23,8 +26,8 @@ class TestParsing:
         assert scn.base_phase is None  # the closed-form optimum
 
     def test_default_scenario_fading_samples(self, default_parsed):
-        assert default_parsed.l1 == 0.3421 - 0.4988j
-        assert default_parsed.l1_prime == 0.2651 + 0.0031j
+        assert default_parsed.fading[0] == 0.3421 - 0.4988j
+        assert default_parsed.fading_prime[0] == 0.2651 + 0.0031j
         assert not default_parsed.use_prime
 
     def test_prime_triple_selects_other_channel(self, default_parsed):
@@ -114,6 +117,42 @@ class TestOverrides:
         assert json.dumps(DEFAULT_SCENARIO, sort_keys=True) == before
 
 
+_PAIRS = st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2)
+
+
+@st.composite
+def raw_scenarios(draw) -> dict:
+    """Raw scenarios over scheme, order, amplitude, base phase, primes and sweep."""
+    raw = json.loads(json.dumps(DEFAULT_SCENARIO))
+    scheme = draw(st.sampled_from(["mask", "mpsk"]))
+    order = draw(st.integers(2, 256))
+    mo = raw["modulation"] = {"scheme": scheme, "order": order,
+                              "min_bd_rate_bits": draw(st.floats(0.0, 8.0))}
+    if scheme == "mpsk":
+        amplitude = draw(st.one_of(st.none(), st.just("equal-power"), st.sampled_from([0, 1]),
+                                   st.floats(0.0, 1.0)))
+        if amplitude is not None:
+            mo["amplitude"] = amplitude
+    mo["base_phase"] = draw(st.one_of(
+        st.just("optimal"),
+        st.floats(0.0, phase_period(scheme, order), exclude_max=True)))
+    fd = raw["fading"] = {k: draw(_PAIRS) for k in ("l1", "l2", "l3")}
+    if draw(st.booleans()):
+        fd.update({k: draw(_PAIRS) for k in ("l1_prime", "l2_prime", "l3_prime")})
+        fd["use_prime"] = draw(st.booleans())
+    if draw(st.booleans()):
+        del raw["sweep"]
+    else:
+        sweep = raw["sweep"] = {
+            "variable": draw(st.sampled_from(["base_phase", "channel_ratio", "order"])),
+            "steps": draw(st.integers(1, 1000))}
+        for bound in ("lo", "hi"):
+            if draw(st.booleans()):
+                sweep[bound] = draw(st.floats(0.0, 1e6))
+    raw["seed"] = draw(st.integers(0, 2**63))
+    return raw
+
+
 class TestRoundTrip:
     def test_write_then_read_is_exact(self, default_parsed, tmp_path):
         path = tmp_path / "scenario.json"
@@ -159,6 +198,20 @@ class TestRoundTrip:
 
     def test_canonical_dict_reparses(self, default_parsed):
         assert parse_scenario(scenario_to_dict(default_parsed)) == default_parsed
+
+    @given(raw=raw_scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_canonical_form_round_trips(self, raw, tmp_path_factory):
+        scn = parse_scenario(raw)
+        canon = scenario_to_dict(scn)
+        again = parse_scenario(canon)
+        assert again == scn
+        assert scenario_hash(again) == scenario_hash(scn)
+        assert scenario_to_dict(again) == canon
+        path = tmp_path_factory.getbasetemp() / "round_trip.json"
+        write_scenario(scn, path)
+        assert load_scenario(path) == scn
+
 
 
 class TestLoad:
