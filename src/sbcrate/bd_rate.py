@@ -5,7 +5,7 @@ symbol is observed as y = g * Gamma_m + w with w circularly symmetric
 complex Gaussian of variance sigma_s^2, and the coupling g = sigma_s^2 =
 L P |h2|^2 |h3|^2 / sigma^2.  The device rate is the mutual information of
 the equiprobable discrete input against that observation: one log-ratio
-kernel averaged over Gauss-Hermite noise nodes, or over sampled observations
+kernel averaged over trapezoidal noise nodes, or over sampled observations
 by Monte Carlo and the link simulator.
 
 The MI is unchanged by translating, rotating or reflecting the point set,
@@ -14,15 +14,11 @@ needs only a 1-D rule along its line, and, when it is symmetric about its
 midpoint, only half of its conditioned terms.  A phase-keyed set, an equally
 spaced ring, needs only the term conditioned on Gamma_0; turned so that
 Gamma_0 is real, the ring is its own mirror image across the real axis, and
-that term needs only the upper half of the tensor-product rule.
+that term needs only the upper half of the plane.
 
-Each Gauss-Hermite rule keeps only the nodes inside the smallest disc whose
-outside weight and second moment are both at most 2^-60.  The log-ratio
-kernel is bounded by -|z|^2 / ln 2 and log2 M at a unit-noise node z, so the
-nodes dropped would move a value by at most 2^-60 (log2 M + 1 / ln 2), below
-1e-17 for M <= 256.  A rule of n = 64 to 324 nodes keeps the ones within a
-radius of about 6.5 to 6.75: 850 of the 2048 half-plane nodes at n = 64, 46
-of the 64 line nodes.
+The rule is the trapezoidal rule on a lattice of unit-noise nodes in a disc,
+its step halved at each level (`_trapezoid_nodes`); the integrand is
+analytic, so the difference of two levels is an honest error estimate.
 
 The sampled estimators draw fixed-size chunks, each from its own substream,
 on one thread per usable CPU, and add the per-chunk sums in chunk order: a
@@ -38,19 +34,20 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .channel import ChannelTriple, SystemParams
 from .constellation import Constellation
 
 _LN2 = math.log(2.0)
 
-#: Node counts tried in turn until two consecutive estimates agree.  numpy's
-#: rule loses its weights past about 370 nodes (`_hermgauss` checks them), so
-#: the ladder stops at 324; the hardest regime (transition sitting a few noise
-#: deviations out) converges to ~1e-9 there.
-DEFAULT_NODE_SCHEDULE = (64, 96, 144, 216, 324)
 DEFAULT_MI_TOL = 1e-8
+
+#: Step of the first trapezoidal level; each further level halves it.
+_FIRST_STEP = 0.5
+#: Levels, the first included, before the quadrature gives up.
+_LEVELS = 6
+#: Squared radius of the disc of unit-noise nodes the rule keeps.
+_RADIUS2 = 42.0
 
 #: Monte Carlo samples per substream.  Fixed, so the chunks, and with them
 #: every result bit, are the same whatever the number of worker threads.
@@ -65,13 +62,9 @@ _KERNEL_BLOCK = 1 << 16
 #: set's structure (collinear, or an equally spaced ring).
 _STRUCTURE_TOL = 1e-12
 
-#: Weight, and second moment |z|^2, of the outermost Gauss-Hermite nodes a
-#: rule may drop (see `_hermite_rule`).
-_TAIL_BUDGET = 2.0 ** -60
-
 
 class PrecisionError(RuntimeError):
-    """Quadrature failed to converge within the node budget.
+    """Quadrature failed to converge within `_LEVELS` levels.
 
     Carries the best estimate achieved so the caller can decide whether the
     achieved accuracy is still serviceable.
@@ -131,7 +124,9 @@ def _log_ratio_bits(y: np.ndarray, conditioned: int | np.ndarray, points: np.nda
     energy = (np.abs(scaled) ** 2)[:, None]
     step = max(min(_KERNEL_BLOCK // M, len(y)), 1)
     cols = np.arange(step)
-    u_buf, t_buf = np.empty(M * step), np.empty(M * step)
+    # One allocation: two equal buffers would reach glibc's trim threshold
+    # (twice the largest chunk freed) and be faulted in again on every call.
+    u_buf, t_buf = np.empty((2, M * step))
     for lo in range(0, len(y), step):
         yr, yi = y[lo:lo + step].real, y[lo:lo + step].imag
         u = u_buf[:M * len(yr)].reshape(M, -1)
@@ -154,81 +149,44 @@ def _log_ratio_bits(y: np.ndarray, conditioned: int | np.ndarray, points: np.nda
     return out
 
 
-@lru_cache(maxsize=8)
-def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's Gauss-Hermite nodes and weights, computed once per node count for both rules."""
-    with np.errstate(all="ignore"):  # past ~370 nodes numpy's weights go to 0, then to nan
-        x, w = hermgauss(nodes)
-        usable = np.all(w > 0.0) and math.isclose(w.sum(), math.sqrt(math.pi), rel_tol=1e-12)
-    if not usable:
-        raise ValueError(f"numpy's {nodes}-node Gauss-Hermite rule has no usable weights")
-    return x, w
+@lru_cache(maxsize=None)  # at most `_LEVELS` levels of three regions
+def _trapezoid_nodes(level: int, region: str) -> tuple[np.ndarray, np.ndarray]:
+    """Unit noise nodes and weights that trapezoidal level `level` adds.
 
+    The step is h = `_FIRST_STEP` / 2^level, and a node's real part is one
+    noise component of variance 1/2.  "line": the points x of h Z, weights
+    h e^{-x^2} / sqrt(pi); "plane": the points z of h Z + j h Z, weights
+    h^2 e^{-|z|^2} / pi; "half_plane": the plane points with Im z >= 0, for
+    an integrand even in Im z, weights doubled where Im z > 0.  Only points
+    with |z|^2 <= `_RADIUS2` = R^2 are kept, and a level past the first
+    returns only those off the coarser lattice.
 
-def _kept_radius2(r2: np.ndarray, w: np.ndarray, w_r2: np.ndarray,
-                  mass: float = 0.0, moment: float = 0.0) -> float:
-    """Squared radius of the smallest disc whose outside nodes fit `_TAIL_BUDGET`.
-
-    Nodes at squared radius `r2` carry weights `w` and moments `w_r2`; `mass`
-    and `moment` bound the tails of nodes already dropped, all of them outside
-    the disc.  Returns the squared radius of the outermost node kept.
+    The log-ratio kernel lies in [-|z|^2 / ln 2, log2 M] (the conditioned
+    term is in its sum, and u_i - u_m <= |z|^2), so |kernel| <= |z|^2 / ln 2
+    outside the disc.  Counting the lattice points within radius r by the
+    areas of their cells bounds the sum of w |z|^2 outside the disc by
+    (R^2 + 1 + 3 h R^3) e^{-R^2}: the nodes dropped move a value by at most
+    3.7e-16 at every level, whatever the points, gain or noise variance.
     """
-    order = np.argsort(-r2)
-    fits = ((mass + np.cumsum(w[order]) <= _TAIL_BUDGET)
-            & (moment + np.cumsum(w_r2[order]) <= _TAIL_BUDGET))
-    return r2[order[np.count_nonzero(fits)]]
-
-
-@lru_cache(maxsize=16)
-def _hermite_rule(nodes: int, region: str) -> tuple[np.ndarray, np.ndarray]:
-    """Unit noise nodes and weights of the 1-D rule or of a flattened 2-D tensor rule.
-
-    "line": nodes x_i, weights w_i / sqrt(pi).  "plane": nodes x_i + j x_k,
-    weights w_i w_k / pi.  "half_plane": the plane nodes with x_k >= 0, for an
-    integrand even in the imaginary part; weights 2 w_i w_k / pi, and
-    w_i w_k / pi on the x_k == 0 row of an odd node count (numpy's nodes are
-    exactly symmetric, the middle one exactly 0).  Either way a node's real
-    part is one noise component of variance 1/2.
-
-    The rule keeps only its nodes z inside the smallest disc whose outside
-    nodes have sum w <= `_TAIL_BUDGET` and sum w |z|^2 <= `_TAIL_BUDGET`, in
-    their original order.  The log-ratio kernel lies in [-|z|^2 / ln 2,
-    log2 M] at every node (the conditioned term is in its sum, and
-    u_i - u_m <= |z|^2 by completing the square), so the dropped nodes would
-    move an estimate by at most `_TAIL_BUDGET` (log2 M + 1 / ln 2), below
-    1e-17 for M <= 256, whatever the points, gain or noise variance.  A
-    tensor rule first drops the 1-D nodes outside a disc that a 1-D tail sum
-    shows to contain the cut, and never forms the rest of the n x n tensor.
-    """
-    x, w = _hermgauss(nodes)
-    x2 = x * x
-    if region == "line":
-        w = w / math.sqrt(math.pi)
-        keep = x2 <= _kept_radius2(x2, w, w * x2)
-        return x[keep], w[keep]
-    # The tensor nodes in the rows and columns of a set of 1-D nodes weigh at
-    # most row_w and row_w_r2 summed over the set.  If the 1-D cut on these
-    # keeps x^2 <= t2, the tensor nodes outside the squared radius 2 t2 (each
-    # has a coordinate with x^2 > t2) fit the budget, so the tensor cut keeps
-    # no node with x^2 > 2 t2: those rows and columns are never formed, and
-    # their sums start the tensor's tails.
-    unit = w / math.sqrt(math.pi)
-    row_w, row_w_r2 = 2.0 * unit, 2.0 * unit * (x2 + float((unit * x2).sum()))
-    inner = x2 <= 2.0 * _kept_radius2(x2, row_w, row_w_r2)
-    x, w = x[inner], w[inner]
-    z, weights = x[:, None] + 1j * x[None, :], np.outer(w, w) / math.pi
+    h = _FIRST_STEP / 2**level
+    r2 = _RADIUS2 / (h * h)  # exact: h is a power of two
+    n = math.isqrt(int(r2))
+    re = np.arange(-n, n + 1)[:, None]
+    im = {"line": np.zeros(1, dtype=int), "plane": np.arange(-n, n + 1),
+          "half_plane": np.arange(n + 1)}[region][None, :]
+    keep = re * re + im * im <= r2
+    if level:
+        keep &= (re % 2 == 1) | (im % 2 == 1)
+    re, im = np.broadcast_to(re, keep.shape)[keep], np.broadcast_to(im, keep.shape)[keep]
+    dims = 1 if region == "line" else 2
+    weights = h**dims * np.exp(-(h * h) * (re * re + im * im)) / math.pi ** (dims / 2)
     if region == "half_plane":
-        upper = x >= 0.0
-        z, weights = z[:, upper], weights[:, upper] * np.where(x[upper] > 0.0, 2.0, 1.0)
-    z, weights = z.ravel(), weights.ravel()
-    r2 = z.real ** 2 + z.imag ** 2
-    keep = r2 <= _kept_radius2(r2, weights, weights * r2, row_w[~inner].sum(),
-                               row_w_r2[~inner].sum())
-    return z[keep], weights[keep]
+        weights[im > 0] *= 2.0
+    return (h * re if region == "line" else h * (re + 1j * im)), weights
 
 
-def mi_quadrature(c: Constellation, stats: MrcStatistics, tol: float = DEFAULT_MI_TOL,
-                  node_schedule: tuple[int, ...] = DEFAULT_NODE_SCHEDULE) -> MiEstimate:
+def mi_quadrature(c: Constellation, stats: MrcStatistics,
+                  tol: float = DEFAULT_MI_TOL) -> MiEstimate:
     """Deterministic mutual information of the constellation through the combiner.
 
     The MI is the mean over m of the term conditioned on Gamma_m, and it is
@@ -239,24 +197,24 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics, tol: float = DEFAULT_M
     - Line.  With Gamma_0 at the origin and the farthest point turned onto
       the positive real axis, the points are real to rounding (every `mask`
       set, any two points, any collinear set).  The noise orthogonal to the
-      line carries no information, so a 1-D Gauss-Hermite rule of n nodes
-      replaces the n^2 tensor rule.  If the line is also symmetric about its
-      midpoint (every `mask` set and every pair), the term of each point
-      equals the term of its mirror image with the noise negated, and the
-      rule's nodes are symmetric: only ceil(M/2) terms are evaluated, each
-      but an odd M's middle one counted twice.
+      line carries no information, so a 1-D rule replaces the 2-D one.  If
+      the line is also symmetric about its midpoint (every `mask` set and
+      every pair), the term of each point equals the term of its mirror
+      image with the noise negated, and the rule's nodes are symmetric: only
+      ceil(M/2) terms are evaluated, each but an odd M's middle one counted
+      twice.
     - Ring.  An equally spaced ring Gamma_m = Gamma_0 e^{2 pi j m / M} (every
       `mpsk` set) is M-fold rotation-symmetric, so only the Gamma_0 term is
       evaluated.  The ring is first turned by |Gamma_0| / Gamma_0 so that
       Gamma_0 is real; it is then closed under conjugation, the term is even
-      in the imaginary noise component, and the tensor rule needs only its
-      nodes with non-negative imaginary part.  The integrand, and with it the
+      in the imaginary noise component, and the rule needs only its nodes
+      with non-negative imaginary part.  The integrand, and with it the
       node count and the value, is then the same at every base phase.
-    - Other sets average all M terms over the full tensor rule.
+    - Other sets average all M terms over the whole plane.
 
-    Refines the node count along `node_schedule` until two consecutive
-    estimates differ by at most `tol` bits; raises :class:`PrecisionError`
-    carrying the best estimate if the budget is exhausted first.
+    Halves the trapezoidal step, reusing the sum of the coarser level, until
+    two levels differ by at most `tol` bits; raises :class:`PrecisionError`
+    carrying the best estimate if `_LEVELS` levels do not get there.
     """
     points = np.asarray(c.points, dtype=complex)
     if stats.gain == 0.0 or np.all(points == points[0]):
@@ -264,8 +222,6 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics, tol: float = DEFAULT_M
         return MiEstimate(value_bits=0.0, std_error_bits=0.0, method="quadrature")
     if stats.noise_var <= 0.0:
         raise ValueError(f"noise_var must be > 0, got {stats.noise_var!r}")
-    if len(node_schedule) < 2:
-        raise ValueError("node_schedule needs at least two levels to assess convergence")
 
     M = len(points)
     shifted = points - points[0]
@@ -289,9 +245,10 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics, tol: float = DEFAULT_M
             points, region = points * (abs(points[0]) / points[0]), "half_plane"
             terms, counts = terms[:1], np.array([float(M)])
     block = max(_KERNEL_BLOCK // M, 1)
+    coarsen = 2.0 if region == "line" else 4.0  # 2^d: the step halves in d dimensions
 
-    def level(nodes: int) -> float:
-        z, weights = _hermite_rule(nodes, region)
+    def added(level: int) -> float:
+        z, weights = _trapezoid_nodes(level, region)
         noise = math.sqrt(stats.noise_var) * z
         count = len(terms) * len(z)
         total = 0.0
@@ -300,22 +257,20 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics, tol: float = DEFAULT_M
             m = terms[term]
             v = _log_ratio_bits(stats.gain * points[m] + noise[node], m, points,
                                 stats.gain, stats.noise_var)
-            # (w * v).sum(), not w @ v: no kept weight is subnormal, and numpy's
-            # pairwise sum keeps the bits the results had before the cut.
+            # (w * v).sum(), not w @ v: numpy's pairwise sum, not a BLAS dot
+            # whose bits may depend on the machine.
             total += float((counts[term] * weights[node] * v).sum())
         return total / M
 
-    prev = level(node_schedule[0])
-    for nodes in node_schedule[1:]:
-        cur = level(nodes)
+    prev = added(0)
+    for level in range(1, _LEVELS):
+        cur = prev / coarsen + added(level)
         if abs(cur - prev) <= tol:
             return MiEstimate(value_bits=cur, std_error_bits=0.0, method="quadrature")
         prev = cur
     achieved = MiEstimate(value_bits=prev, std_error_bits=0.0, method="quadrature")
-    raise PrecisionError(
-        f"quadrature did not reach tol={tol} within node budget {node_schedule}",
-        achieved,
-    )
+    raise PrecisionError(f"quadrature did not reach tol={tol} within {_LEVELS} levels",
+                         achieved)
 
 
 def _add_complex_normal(rng: np.random.Generator, y: np.ndarray, *scales: float) -> None:

@@ -65,10 +65,7 @@ def cmd_phase_sweep(scn: Scenario, args) -> list[str]:
     if not (0.0 <= lo < hi <= limit):
         raise ScenarioError(f"sweep range [{lo}, {hi}) outside the base-phase "
                             f"domain [0, {limit:g})")
-    steps = args.grid or scn.sweep.steps
-    if not steps:
-        raise ScenarioError("phase-sweep needs sweep.steps (or --grid)")
-    grid = np.linspace(lo, hi, steps, endpoint=False)
+    grid = np.linspace(lo, hi, args.grid or scn.sweep.steps, endpoint=False)
     no_bd = _fmt(pt_rate_no_bd(sy, ch))
     sol = scn.optimal_phase(ch)
     if scn.scheme == "mask":
@@ -96,7 +93,7 @@ def cmd_ratio_sweep(scn: Scenario, args) -> list[str]:
     if not (0.0 < scn.sweep.lo < scn.sweep.hi):
         raise ScenarioError("ratio-sweep needs 0 < sweep.lo < sweep.hi")
     steps = args.grid or scn.sweep.steps
-    if not steps or steps < 2:
+    if steps < 2:
         raise ScenarioError("ratio-sweep needs at least 2 grid points")
     rho, a23 = scn.system.snr_scale, scn.channel().a23
     M = scn.order
@@ -237,6 +234,13 @@ _COMMANDS = {
 }
 
 
+def _count(text: str) -> int:
+    """argparse type of a step count: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # One parser serves every call: parse_args starts each namespace from the
@@ -253,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output path (stdout if omitted)")
     common.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed")
-    common.add_argument("--grid", type=int, default=None,
+    common.add_argument("--grid", type=_count, default=None,
                         help="override the sweep step count")
     common.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE",

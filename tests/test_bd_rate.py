@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import dblquad, quad
 
-from sbcrate.bd_rate import (_KERNEL_BLOCK, DEFAULT_MI_TOL, DEFAULT_NODE_SCHEDULE,
-                             MrcStatistics, PrecisionError, _hermite_rule, _log_ratio_bits,
+from sbcrate.bd_rate import (_FIRST_STEP, _KERNEL_BLOCK, _LEVELS, _RADIUS2, DEFAULT_MI_TOL,
+                             MrcStatistics, PrecisionError, _log_ratio_bits, _trapezoid_nodes,
                              bd_rate, mi_monte_carlo, mi_quadrature, mrc_statistics)
 from sbcrate.channel import SystemParams
 from sbcrate.constellation import explicit_constellation, mask_constellation, mpsk_constellation
@@ -44,39 +44,52 @@ def tensor_mi_oracle(points, gain: float, noise_var: float, nodes: int,
     return math.log2(M) - acc / len(conditioned)
 
 
-def line_mi_oracle(points, gain: float, noise_var: float, nodes: int) -> float:
-    """Mutual information of real points on the whole 1-D Gauss-Hermite rule, every term.
+def lattice_mi_oracle(points, gain: float, noise_var: float, step: float, radius2: float,
+                      conditioned=None) -> float:
+    """Mutual information on the trapezoidal lattice of `step` inside |z|^2 <= radius2.
 
-    The difference form of `tensor_mi_oracle` along the line: the exponents are
-    -(g d)^2 / sigma_s^2 - 2 g d x / sigma_s with d = Gamma_m - Gamma_i and x a node.
+    Real points take the nodes z of step Z, weights step e^{-z^2} / sqrt(pi);
+    complex points the nodes of step (Z + jZ), weights step^2 e^{-|z|^2} / pi.
+    The kernel is the difference form of `tensor_mi_oracle`, over the whole
+    line or plane and every `conditioned` symbol (all by default), so it
+    shares neither node sets, symmetry reductions nor kernel with the engine.
     """
-    points = np.asarray(points, dtype=float)
-    x, wq = hermgauss(nodes)
+    real = np.isrealobj(points)
+    points = np.asarray(points, dtype=complex)
+    n = math.floor(math.sqrt(radius2) / step)
+    x = step * np.arange(-n, n + 1)
+    z = x.astype(complex) if real else (x[:, None] + 1j * x[None, :]).ravel()
+    r2 = z.real ** 2 + z.imag ** 2
+    z, r2 = z[r2 <= radius2], r2[r2 <= radius2]
+    w = (step / math.sqrt(math.pi)) ** (1 if real else 2) * np.exp(-r2)
+    noise = math.sqrt(noise_var) * z
+    conditioned = range(len(points)) if conditioned is None else conditioned
     acc = 0.0
-    for m in range(len(points)):
-        dm = gain * (points[m] - points) / math.sqrt(noise_var)
-        t = -(dm[:, None] ** 2 + 2.0 * dm[:, None] * x[None, :])
-        tmax = np.maximum(t.max(axis=0), 0.0)
-        lse = tmax / math.log(2.0) + np.log2(np.exp(t - tmax).sum(axis=0))
-        acc += float((wq * lse).sum()) / math.sqrt(math.pi)
-    return math.log2(len(points)) - acc / len(points)
+    for m in conditioned:
+        dm = gain * (points[m] - points)[:, None]
+        for lo in range(0, len(z), 4096):
+            t = -(np.abs(dm) ** 2 + 2.0 * np.real(dm * np.conj(noise[lo:lo + 4096]))) / noise_var
+            tmax = np.maximum(t.max(axis=0), 0.0)
+            lse = tmax / math.log(2.0) + np.log2(np.exp(t - tmax).sum(axis=0))
+            acc += float((w[lo:lo + 4096] * lse).sum())
+    return math.log2(len(points)) - acc / len(conditioned)
 
 
-def full_hermite_rule(nodes: int, region: str) -> tuple[np.ndarray, np.ndarray]:
-    """Every node and weight of the 1-D, tensor or half-plane rule, in the engine's order."""
-    x, w = hermgauss(nodes)
-    if region == "line":
-        return x.astype(complex), w / math.sqrt(math.pi)
-    z, weights = x[:, None] + 1j * x[None, :], np.outer(w, w) / math.pi
-    if region == "half_plane":
-        upper = x >= 0.0
-        z, weights = z[:, upper], weights[:, upper] * np.where(x[upper] > 0.0, 2.0, 1.0)
-    return z.ravel(), weights.ravel()
+def level_one_oracle(points, gain: float, noise_var: float, conditioned=None) -> float:
+    """What `mi_quadrature(..., tol=math.inf)` integrates: the second level's whole lattice."""
+    return lattice_mi_oracle(points, gain, noise_var, _FIRST_STEP / 2, _RADIUS2, conditioned)
 
 
-def kept(nodes: int, region: str) -> int:
-    """Nodes the engine's truncated rule evaluates at one level."""
-    return len(_hermite_rule(nodes, region)[0])
+def added(level: int, region: str) -> int:
+    """Nodes the engine evaluates at one level: those off the coarser lattice."""
+    return len(_trapezoid_nodes(level, region)[0])
+
+
+def assert_work(kernel_entries, per_node: int, region: str) -> None:
+    """Levels ran in turn from the first, each with `per_node` kernel entries per node it adds."""
+    assert len(kernel_entries) >= 2
+    assert kernel_entries == [[level, per_node * added(level, region)]
+                              for level in range(len(kernel_entries))]
 
 
 def whole_log_ratio_oracle(y, conditioned, points, gain: float, noise_var: float) -> np.ndarray:
@@ -148,21 +161,21 @@ def adaptive_mi_collinear(points, gain: float, noise_var: float) -> float:
 def kernel_entries(monkeypatch):
     """Log-ratio kernel matrix entries (symbols x observations), per quadrature level.
 
-    Each entry is [nodes, entries]; a level starts when the engine fetches its rule.
+    Each entry is [level, entries]; a level starts when the engine fetches its nodes.
     """
     engine = importlib.import_module("sbcrate.bd_rate")
-    rule, kernel = engine._hermite_rule, engine._log_ratio_bits
+    rule, kernel = engine._trapezoid_nodes, engine._log_ratio_bits
     levels = []
 
-    def counting_rule(nodes, dims):
-        levels.append([nodes, 0])
-        return rule(nodes, dims)
+    def counting_rule(level, region):
+        levels.append([level, 0])
+        return rule(level, region)
 
     def counting_kernel(y, conditioned, points, gain, noise_var):
         levels[-1][1] += len(points) * len(y)
         return kernel(y, conditioned, points, gain, noise_var)
 
-    monkeypatch.setattr(engine, "_hermite_rule", counting_rule)
+    monkeypatch.setattr(engine, "_trapezoid_nodes", counting_rule)
     monkeypatch.setattr(engine, "_log_ratio_bits", counting_kernel)
     return levels
 
@@ -226,41 +239,36 @@ class TestTruncatedRule:
 
     @pytest.mark.parametrize("region", ["line", "plane", "half_plane"])
     def test_dropped_tails_are_below_rounding(self, region):
-        budget = 2.0**-60
-        for nodes in DEFAULT_NODE_SCHEDULE:
-            z, w = full_hermite_rule(nodes, region)
-            kept_z, kept_w = _hermite_rule(nodes, region)
-            r2 = np.abs(z) ** 2
-            edge = np.abs(kept_z).max() ** 2
-            inside = r2 <= edge
-            # A disc of the rule, in the rule's order, with the rule's weights.
-            assert np.array_equal(kept_z, z[inside]) and np.array_equal(kept_w, w[inside])
-            assert w[~inside].sum() <= budget and (w * r2)[~inside].sum() <= budget, nodes
-            # The smallest such disc: dropping its outermost nodes too would not fit.
-            outer = r2 >= edge
-            assert w[outer].sum() > budget or (w * r2)[outer].sum() > budget, nodes
-            assert kept_w.min() >= np.finfo(float).tiny, nodes
-            assert len(kept_z) < len(z), nodes
+        dims = 1 if region == "line" else 2
+        seen = np.empty(0, dtype=complex)
+        for level in range(_LEVELS):
+            h = _FIRST_STEP / 2**level
+            z, w = _trapezoid_nodes(level, region)
+            # Levels nest: a level adds only points off the coarser lattices,
+            # and with theirs they are the lattice of step h inside the disc.
+            assert not np.isin(z, seen).any(), level
+            seen = np.concatenate([seen, z])
+            n = math.floor(math.sqrt(_RADIUS2) / h)
+            x = h * np.arange(-n, n + 1)
+            lattice = x.astype(complex) if region == "line" else (x[:, None] + 1j * x).ravel()
+            lattice = lattice[(lattice.real ** 2 + lattice.imag ** 2 <= _RADIUS2)
+                              & (lattice.imag >= 0.0 if region == "half_plane" else True)]
+            assert np.array_equal(np.sort(seen), np.sort(lattice)), level
+            r2 = z.real ** 2 + z.imag ** 2
+            doubled = np.where((region == "half_plane") & (z.imag > 0.0), 2.0, 1.0)
+            np.testing.assert_allclose(w, doubled * h**dims * np.exp(-r2) / math.pi ** (dims / 2),
+                                       rtol=1e-15, atol=0.0)
+        # Outside the disc |v| <= |z|^2 / ln 2, and the lattice points there
+        # have sum w |z|^2 <= (R^2 + 1 + 3 h R^3) e^{-R^2} at any step h.
+        def bound(h):
+            return (_RADIUS2 + 1.0 + 3.0 * h * _RADIUS2 ** 1.5) * math.exp(-_RADIUS2)
 
-    @pytest.mark.parametrize("nodes", [64, 144])
-    def test_values_match_the_uncut_rule(self, nodes):
-        # The cut moves no value beyond rounding, from g = 1e-2 to 1e8.
-        for g in (1e-2, 1.0, 1e2, 1e4, 1e8):
-            cases = [(mpsk_constellation(M, 0.9, 0.1 / M), MrcStatistics(g, g), (0,))
-                     for M in (4, 8, 16)]
-            cases.append((explicit_constellation([0.9, 0.5j, -0.3 - 0.4j]),
-                          MrcStatistics(g, g), None))
-            cases.append((mpsk_constellation(4, 0.8, 0.3), MrcStatistics(g, 0.3 * g), (0,)))
-            for c, stats, conditioned in cases:
-                points = c.points if conditioned is None else turned_ring(c.points)
-                est = mi_quadrature(c, stats, node_schedule=(nodes, nodes))
-                ref = tensor_mi_oracle(points, stats.gain, stats.noise_var, nodes, conditioned)
-                assert abs(est.value_bits - ref) <= 1e-12, (c.points, stats)
-            for M in (2, 16, 256):
-                c = mask_constellation(M, 0.3)
-                est = mi_quadrature(c, MrcStatistics(g, g), node_schedule=(nodes, nodes))
-                ref = line_mi_oracle(canonical_points(c.points).real, g, g, nodes)
-                assert abs(est.value_bits - ref) <= 1e-12, (M, g)
+        assert bound(_FIRST_STEP) / math.log(2.0) < 1e-15
+        for h in (_FIRST_STEP, _FIRST_STEP / 2, _FIRST_STEP / 8):
+            x = h * np.arange(-math.floor(10.0 / h), math.floor(10.0 / h) + 1)
+            r2 = (x * x if region == "line" else x[:, None] ** 2 + x ** 2).ravel()
+            tail = (h / math.sqrt(math.pi)) ** dims * (np.exp(-r2) * r2)[r2 > _RADIUS2].sum()
+            assert 0.0 < tail <= bound(h), h
 
 
 class TestMiQuadrature:
@@ -316,14 +324,13 @@ class TestMiQuadrature:
         est = mi_quadrature(explicit_constellation(pts), MrcStatistics(g, g))
         assert -1e-9 <= est.value_bits <= math.log2(n_points) + 1e-9
 
-    @pytest.mark.parametrize("nodes", [64, 96, 65])
-    def test_matches_tensor_difference_oracle(self, nodes):
-        # The oracle integrates what the engine integrates at one level: the
-        # canonical real-axis points of a collinear set (the tensor rule there
-        # equals the engine's 1-D rule, and its mirrored terms equal the ones
-        # the engine skips), the Gamma_0 term of an mpsk set turned so that
-        # Gamma_0 is real (the full rule equals the engine's half plane, an
-        # odd node count included), and every conditioned term of other sets.
+    def test_matches_tensor_difference_oracle(self):
+        # tol=inf stops at the second level, and the oracle sums that level's
+        # whole lattice: on the canonical real-axis points of a collinear set
+        # (its mirrored terms equal the ones the engine skips), for the
+        # Gamma_0 term of an mpsk set turned so that Gamma_0 is real (the
+        # whole plane equals the engine's half plane), and for every
+        # conditioned term of other sets.
         cases = []
         for M in (2, 3, 4, 8, 16):
             mask, mpsk = mask_constellation(M, 0.7), mpsk_constellation(M, 0.9, 0.1)
@@ -339,8 +346,8 @@ class TestMiQuadrature:
         c = mpsk_constellation(4, 0.8, 0.3)
         cases.append((c, MrcStatistics(12.0, 3.0), turned_ring(c.points), (0,)))  # gain != noise
         for c, stats, points, conditioned in cases:
-            est = mi_quadrature(c, stats, node_schedule=(nodes, nodes))
-            ref = tensor_mi_oracle(points, stats.gain, stats.noise_var, nodes, conditioned)
+            est = mi_quadrature(c, stats, tol=math.inf)
+            ref = level_one_oracle(points, stats.gain, stats.noise_var, conditioned)
             assert abs(est.value_bits - ref) <= 1e-12, (c.points, stats)
 
     def test_mask_matches_adaptive_integral(self):
@@ -351,6 +358,27 @@ class TestMiQuadrature:
                 est = mi_quadrature(mask_constellation(M, 0.37 * 2 * math.pi), MrcStatistics(g, g))
                 ref = adaptive_mi_collinear(line, g, g)
                 assert abs(est.value_bits - ref) <= 1e-9, (M, g)
+
+    @pytest.mark.parametrize("scheme, M", [("mask", 2), ("mask", 4), ("mask", 8),
+                                           ("mpsk", 4), ("mpsk", 8), ("mpsk", 16)])
+    def test_gain_scan_is_within_tol_of_independent_oracles(self, scheme, M):
+        # Two levels can agree by chance far from the true value; a scan over
+        # log-spaced gains shows it where a few chosen gains may not.
+        if scheme == "mask":
+            c, gains = mask_constellation(M, 0.37 * 2 * math.pi), np.logspace(0.0, 3.5, 100)
+            line = [m / (M - 1) for m in range(M)]
+
+            def oracle(g):
+                return adaptive_mi_collinear(line, g, g)
+        else:
+            c, gains = mpsk_constellation(M, 0.9, 0.1), np.logspace(-1.0, 4.0, 12)
+
+            def oracle(g):
+                # Steps 0.03 and 0.022 agree to 2e-15 at these gains.
+                return lattice_mi_oracle(c.points, g, g, 0.03, 49.0, conditioned=(0,))
+        for g in gains:
+            est = mi_quadrature(c, MrcStatistics(g, g))
+            assert abs(est.value_bits - oracle(g)) <= DEFAULT_MI_TOL, g
 
     @pytest.mark.parametrize("M", [3, 8, 16])
     def test_mpsk_symmetry_matches_converged_full_oracle(self, M):
@@ -375,9 +403,7 @@ class TestMiQuadrature:
             kernel_entries.clear()
             est = mi_quadrature(explicit_constellation(points), MrcStatistics(g, g))
             # Both lines are symmetric about their midpoints: ceil(M/2) terms.
-            terms = (M + 1) // 2
-            assert all(entries == terms * M * kept(nodes, "line") < terms * M * nodes
-                       for nodes, entries in kernel_entries)
+            assert_work(kernel_entries, (M + 1) // 2 * M, "line")
             ref = mi_quadrature(mask, MrcStatistics(g, g))
             assert abs(est.value_bits - ref.value_bits) <= 1e-12, g
 
@@ -385,51 +411,43 @@ class TestMiQuadrature:
         rot = np.exp(2.0j)
         points = [0.4j * rot, (-0.5 + 0.4j) * rot, (0.5 + 0.401j) * rot]
         mi_quadrature(explicit_constellation(points), MrcStatistics(40.0, 40.0))
-        assert kernel_entries
-        assert all(entries == 3 * 3 * kept(nodes, "plane") < 3 * 3 * nodes**2
-                   for nodes, entries in kernel_entries)
+        assert_work(kernel_entries, 3 * 3, "plane")
 
     def test_rotation_symmetry_is_read_from_the_points(self, kernel_entries):
         stats = MrcStatistics(40.0, 40.0)
         rot = np.exp(0.3j)
         ring = explicit_constellation([p * rot for p in mpsk_constellation(8, 0.9, 0.1).points])
         mi_quadrature(ring, stats)
-        assert kernel_entries
-        assert all(entries == 8 * kept(nodes, "half_plane") < 8 * nodes * nodes // 2
-                   for nodes, entries in kernel_entries)
+        assert_work(kernel_entries, 8, "half_plane")
         # Three points off any equally spaced ring keep every conditioned term.
         kernel_entries.clear()
         mi_quadrature(explicit_constellation([0.9 + 0j, 0.5j, -0.3 - 0.4j]), stats)
-        assert kernel_entries
-        assert all(entries == 3 * 3 * kept(nodes, "plane") < 3 * 3 * nodes**2
-                   for nodes, entries in kernel_entries)
+        assert_work(kernel_entries, 3 * 3, "plane")
 
     @pytest.mark.parametrize("scheme", ["mask", "mpsk"])
     def test_work_per_level_follows_structure(self, kernel_entries, scheme):
         # Deterministic guard against a silent fall back to all M terms, to
-        # the full tensor rule or to an uncut rule: M/2 terms of M entries per
-        # kept node of the n-node line rule on the mirrored line, M per kept
-        # node of the n^2 / 2 half-plane nodes for the one mpsk term.
+        # the whole plane or to evaluating a coarser level's nodes again: M/2
+        # terms of M entries per added node of the mirrored line, M per added
+        # half-plane node for the one mpsk term.
         M = 16
         c = mask_constellation(M, 0.3) if scheme == "mask" else mpsk_constellation(M, 0.9, 0.1)
         mi_quadrature(c, MrcStatistics(200.0, 200.0))
-        assert len(kernel_entries) >= 2
-        for nodes, entries in kernel_entries:
-            if scheme == "mask":
-                assert entries == M // 2 * M * kept(nodes, "line") < M // 2 * M * nodes, nodes
-            else:
-                assert entries == M * kept(nodes, "half_plane") < M * nodes * nodes // 2, nodes
+        if scheme == "mask":
+            assert_work(kernel_entries, M // 2 * M, "line")
+        else:
+            assert_work(kernel_entries, M, "half_plane")
 
     def test_line_terms_follow_its_mirror_symmetry(self, kernel_entries):
         stats = MrcStatistics(40.0, 40.0)
         for points, terms in (([0.0, 0.1, 1.0], 3), (mask_constellation(3, 0.0).points, 2)):
             kernel_entries.clear()
-            est = mi_quadrature(explicit_constellation(points), stats, node_schedule=(96, 96))
-            assert kernel_entries == [[96, terms * 3 * kept(96, "line")]] * 2
-            assert kept(96, "line") < 96
+            est = mi_quadrature(explicit_constellation(points), stats, tol=math.inf)
+            assert_work(kernel_entries, terms * 3, "line")
+            assert len(kernel_entries) == 2
             # [0, 0.1, 1] has no mirror and keeps all M terms; an odd mask
             # set evaluates ceil(M/2) and counts its middle term once.
-            ref = tensor_mi_oracle(np.real(points), 40.0, 40.0, 96)
+            ref = level_one_oracle(np.real(points), 40.0, 40.0)
             assert abs(est.value_bits - ref) <= 1e-12, points
 
     @pytest.mark.parametrize("M", [4, 8, 16])
@@ -467,24 +485,20 @@ class TestMiQuadrature:
             assert -1e-9 <= v <= math.log2(M) + 1e-9
         assert hi >= lo - 2 * DEFAULT_MI_TOL
 
-    def test_precision_error_carries_estimate(self):
+    def test_precision_error_carries_estimate(self, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("sbcrate.bd_rate"), "_LEVELS", 2)
         c = mpsk_constellation(4, 0.9, 0.1)
         with pytest.raises(PrecisionError) as info:
-            mi_quadrature(c, MrcStatistics(20.0, 20.0), tol=1e-14, node_schedule=(6, 8))
+            mi_quadrature(c, MrcStatistics(20.0, 20.0), tol=1e-14)
         est = info.value.estimate
         assert est.method == "quadrature"
-        assert 0.0 <= est.value_bits <= 2.0
+        # The best estimate is the last level's.
+        ref = level_one_oracle(turned_ring(c.points), 20.0, 20.0, (0,))
+        assert abs(est.value_bits - ref) <= 1e-12
 
     def test_invalid_noise_rejected(self):
         with pytest.raises(ValueError):
             mi_quadrature(mask_constellation(2, 0.0), MrcStatistics(1.0, 0.0))
-
-    @pytest.mark.parametrize("nodes", [371, 380, 401])
-    def test_node_count_without_a_usable_rule_is_named(self, nodes):
-        # numpy's weights are all 0 at 371 nodes and nan from 372 on.
-        with pytest.raises(ValueError, match=f"numpy's {nodes}-node Gauss-Hermite rule"):
-            mi_quadrature(mask_constellation(2, 0.3), MrcStatistics(10.0, 10.0),
-                          node_schedule=(64, nodes))
 
 
 class TestMiMonteCarlo:

@@ -421,6 +421,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("command", ["phase-sweep", "ratio-sweep"])
+    @pytest.mark.parametrize("grid", ["0", "-3", "2.5"])
+    def test_grid_below_one_is_an_argparse_error_naming_the_flag(self, tmp_path, capsys,
+                                                                 command, grid):
+        with pytest.raises(SystemExit) as info:
+            run_cli(tmp_path, command, "--grid", grid)
+        assert info.value.code == 2
+        assert "--grid" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestDeterminism:
     def test_identical_runs_are_byte_identical(self, tmp_path):
