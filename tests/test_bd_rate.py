@@ -324,13 +324,15 @@ class TestMiQuadrature:
         est = mi_quadrature(explicit_constellation(pts), MrcStatistics(g, g))
         assert -1e-9 <= est.value_bits <= math.log2(n_points) + 1e-9
 
-    def test_matches_tensor_difference_oracle(self):
+    @pytest.mark.parametrize("seed", [64, 96, 65])
+    def test_matches_tensor_difference_oracle(self, seed):
         # tol=inf stops at the second level, and the oracle sums that level's
         # whole lattice: on the canonical real-axis points of a collinear set
         # (its mirrored terms equal the ones the engine skips), for the
         # Gamma_0 term of an mpsk set turned so that Gamma_0 is real (the
         # whole plane equals the engine's half plane), and for every
-        # conditioned term of other sets.
+        # conditioned term of other sets. The seed adds random sets of the
+        # last kind, with gain and noise drawn apart.
         cases = []
         for M in (2, 3, 4, 8, 16):
             mask, mpsk = mask_constellation(M, 0.7), mpsk_constellation(M, 0.9, 0.1)
@@ -345,6 +347,12 @@ class TestMiQuadrature:
         cases.append((c, MrcStatistics(7.0, 7.0), c.points, None))
         c = mpsk_constellation(4, 0.8, 0.3)
         cases.append((c, MrcStatistics(12.0, 3.0), turned_ring(c.points), (0,)))  # gain != noise
+        rng = np.random.default_rng(seed)
+        for n_points in (3, 5, 8):
+            c = explicit_constellation(rng.uniform(-0.7, 0.7, n_points)
+                                       + 1j * rng.uniform(-0.7, 0.7, n_points))
+            gain, noise_var = 10.0 ** rng.uniform(-1.0, 3.0, size=2)
+            cases.append((c, MrcStatistics(gain, noise_var), c.points, None))
         for c, stats, points, conditioned in cases:
             est = mi_quadrature(c, stats, tol=math.inf)
             ref = level_one_oracle(points, stats.gain, stats.noise_var, conditioned)
