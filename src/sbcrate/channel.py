@@ -63,7 +63,13 @@ def path_loss(model: PathLossModel, which_link: int) -> float:
         gains, d = model.gain_bd * model.gain_rx, model.d3_m
     else:
         raise ValueError(f"which_link must be 1, 2 or 3, got {which_link!r}")
-    return model.wavelength_m**2 * gains / ((4.0 * math.pi) ** 2 * d**model.exponent)
+    try:
+        mu = model.wavelength_m**2 * gains / ((4.0 * math.pi) ** 2 * d**model.exponent)
+    except (OverflowError, ZeroDivisionError):  # a power out of range, or a zero denominator
+        mu = math.inf
+    if not math.isfinite(mu):
+        raise ValueError(f"the power gain of link {which_link} is beyond the float range")
+    return mu
 
 
 def make_channel(mu: float, fading: complex) -> complex:
@@ -150,6 +156,13 @@ class SystemParams:
             raise ValueError(f"noise_w must be finite and > 0, got {self.noise_w!r}")
         if not (isinstance(self.spread, int) and self.spread >= 1):
             raise ValueError(f"spread must be an integer >= 1, got {self.spread!r}")
+        try:
+            scale = self.spread * self.snr_scale  # L P / sigma^2 scales the combiner gain
+        except OverflowError:  # a spread beyond the float range
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise ValueError(f"spread * power_w / noise_w must be finite, got "
+                             f"{self.spread!r} * {self.power_w!r} / {self.noise_w!r}")
 
     @property
     def snr_scale(self) -> float:

@@ -3,8 +3,8 @@
 Subcommands: `rate`, `phase-sweep`, `ratio-sweep`, `order-sweep`, `optimize`,
 `mi`.  Every run is a pure function of the scenario file plus flags: rows
 are emitted in grid order, floats at full precision, metadata in leading
-`#` rows, so identical inputs give byte-identical outputs.  Exit codes:
-0 success, 2 scenario error, 3 numerical-precision failure.
+`#` rows, so identical inputs give byte-identical outputs.  Exit codes: 0 success,
+2 a bad flag or `ScenarioError`, 3 `PrecisionError`; other exceptions propagate.
 
 `main` may be called any number of times in one process, as
 `scripts/reproduce_figures.py` does: the argument parser is built once, on
@@ -17,7 +17,6 @@ import argparse
 import functools
 import math
 import sys as _sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +31,8 @@ from .scenario import Scenario, ScenarioError, load_scenario, scenario_hash
 
 #: Equal-power ring amplitude in the infinite-order limit of the amplitude grid.
 _EQUAL_POWER_LIMIT = math.sqrt(1.0 / 3.0)
+#: Monte Carlo sample count of `mi` when --samples is not given.
+_MC_SAMPLES = 100_000
 
 
 def _fmt(x: float) -> str:
@@ -44,7 +45,7 @@ def _meta(scn: Scenario, command: str) -> list[str]:
 
 def cmd_rate(scn: Scenario, args) -> list[str]:
     sy, ch = scn.system, scn.channel()
-    c = scn.build_constellation(ch)
+    c = scn.build_constellation()
     report = rate_gain(sy, ch, c)
     bd = bd_rate(sy, ch, c)
     lines = _meta(scn, "rate")
@@ -67,7 +68,7 @@ def cmd_phase_sweep(scn: Scenario, args) -> list[str]:
                             f"domain [0, {limit:g})")
     grid = np.linspace(lo, hi, args.grid or scn.sweep.steps, endpoint=False)
     no_bd = _fmt(pt_rate_no_bd(sy, ch))
-    sol = scn.optimal_phase(ch)
+    sol = scn.optimal_phase()
     if scn.scheme == "mask":
         rates = mask_rate_curve(sy, ch, M, grid)
         best = max_pt_rate_ask(sy, ch, M)
@@ -178,6 +179,7 @@ def cmd_order_sweep(scn: Scenario, args) -> list[str]:
     hi = scn.sweep.hi if scn.sweep.hi is not None else 256
     orders = _power_of_two_orders(lo, hi)
     sy, ch = scn.system, scn.channel()
+    theta0 = scn.theta0()
     lines = _meta(scn, "order-sweep")
     amp_note = _fmt(scn.amplitude) if isinstance(scn.amplitude, float) else "equal-power"
     lines.append(f"# psk_amplitude={amp_note} psk_suboptimal_phase=anti-optimal")
@@ -187,7 +189,7 @@ def cmd_order_sweep(scn: Scenario, args) -> list[str]:
         ask = max_pt_rate_ask(sy, ch, M)
         psk = max_pt_rate_psk(sy, ch, M, alpha0)
         # Anti-optimal base phase: half a symbol spacing off the optimum.
-        opt_phase = optimal_phase("mpsk", M, ch.theta0).phase_rad
+        opt_phase = optimal_phase("mpsk", M, theta0).phase_rad
         sub_phase = (opt_phase + math.pi / M) % phase_period("mpsk", M)
         sub = float(mpsk_rate_curve(sy, ch, M, alpha0, np.array([sub_phase]))[0])
         lines.append(f"{M},{_fmt(ask)},{_fmt(psk)},{_fmt(sub)}")
@@ -198,8 +200,8 @@ def cmd_order_sweep(scn: Scenario, args) -> list[str]:
 
 def cmd_optimize(scn: Scenario, args) -> list[str]:
     sy, ch = scn.system, scn.channel()
-    sol = scn.optimal_phase(ch)
-    c = replace(scn, base_phase=None).build_constellation(ch)
+    sol = scn.optimal_phase()
+    c = scn.build_constellation(sol.phase_rad)
     floor = scn.min_bd_rate_bits
     # The device rate does not depend on the base phase: one evaluation settles the floor.
     feasible = floor == 0.0 or (floor <= math.log2(scn.order)
@@ -212,13 +214,15 @@ def cmd_optimize(scn: Scenario, args) -> list[str]:
 
 def cmd_mi(scn: Scenario, args) -> list[str]:
     sy, ch = scn.system, scn.channel()
-    c = scn.build_constellation(ch)
+    c = scn.build_constellation()
+    lines = _meta(scn, "mi")
     if args.method == "monte-carlo":
-        est = mi_monte_carlo(c, mrc_statistics(sy, ch), samples=args.samples,
-                             seed=(args.seed if args.seed is not None else scn.seed))
+        seed = scn.seed if args.seed is None else args.seed
+        samples = args.samples or _MC_SAMPLES
+        est = mi_monte_carlo(c, mrc_statistics(sy, ch), samples=samples, seed=seed)
+        lines.append(f"# seed={seed} samples={samples}")
     else:
         est = mi_quadrature(c, mrc_statistics(sy, ch))
-    lines = _meta(scn, "mi")
     lines.append("value_bits,std_error_bits,method")
     lines.append(f"{_fmt(est.value_bits)},{_fmt(est.std_error_bits)},{est.method}")
     return lines
@@ -234,11 +238,13 @@ _COMMANDS = {
 }
 
 
-def _count(text: str) -> int:
-    """argparse type of a step count: an integer >= 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return int(text)
+def _at_least(n: int):
+    """argparse type of a decimal integer >= n; argparse's error names the flag."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < n:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {n}, got {text!r}")
+        return int(text)
+    return parse
 
 
 @functools.cache
@@ -255,29 +261,32 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scenario JSON file (built-in defaults if omitted)")
     common.add_argument("--out", type=Path, default=None,
                         help="output path (stdout if omitted)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the scenario seed")
-    common.add_argument("--grid", type=_count, default=None,
-                        help="override the sweep step count")
     common.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="scenario override, e.g. modulation.order=4 (repeatable)")
-    for name in _COMMANDS:
-        p = sub.add_parser(name, parents=[common])
-        if name == "mi":
-            p.add_argument("--method", choices=("quadrature", "monte-carlo"),
-                           default="quadrature")
-            p.add_argument("--samples", type=int, default=100_000,
-                           help="Monte Carlo sample count")
+    # Each subcommand takes the common flags and only the others it reads.
+    parsers = {name: sub.add_parser(name, parents=[common]) for name in _COMMANDS}
+    for name in ("phase-sweep", "ratio-sweep"):
+        parsers[name].add_argument("--grid", type=_at_least(1), help="sweep step count override")
+    mi = parsers["mi"]
+    mi.add_argument("--method", choices=("quadrature", "monte-carlo"), default="quadrature")
+    mi.add_argument("--samples", type=_at_least(10_000),
+                    help=f"Monte Carlo sample count (default {_MC_SAMPLES})")
+    mi.add_argument("--seed", type=_at_least(0), help="Monte Carlo seed (default: the scenario's)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "mi" and args.method == "quadrature":
+        for flag in ("seed", "samples"):
+            if getattr(args, flag) is not None:
+                parser.error(f"argument --{flag}: applies only to --method monte-carlo")
     try:
         scn = load_scenario(args.scenario, args.override)
         lines = _COMMANDS[args.command](scn, args)
-    except (ScenarioError, ValueError) as exc:
+    except ScenarioError as exc:
         print(f"scenario error: {exc}", file=_sys.stderr)
         return 2
     except PrecisionError as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .channel import ChannelTriple, PathLossModel, SystemParams, channel_from_path_loss
@@ -108,10 +108,16 @@ class Scenario:
     min_bd_rate_bits: float
     sweep: SweepSpec | None
     seed: int
+    _channel: ChannelTriple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # The link gains are computed, and so checked, once per scenario.
+        object.__setattr__(self, "_channel", _model(
+            channel_from_path_loss, "pathloss", model=self.pathloss,
+            **dict(zip(_LINKS, self.fading_prime if self.use_prime else self.fading))))
 
     def channel(self) -> ChannelTriple:
-        links = self.fading_prime if self.use_prime else self.fading
-        return channel_from_path_loss(self.pathloss, *links)
+        return self._channel
 
     def resolved_alpha0(self, order: int | None = None) -> float:
         """Ring amplitude for phase keying at the given (or scenario) order."""
@@ -119,16 +125,27 @@ class Scenario:
             return self.amplitude
         return equal_power_psk_amplitude(order or self.order)
 
-    def optimal_phase(self, ch: ChannelTriple) -> PhaseSolution:
-        """The closed-form rate-maximizing base phase for this scheme and order."""
-        return optimal_phase(self.scheme, self.order, ch.theta0)
+    def theta0(self) -> float:
+        """The composite channel phase, which every closed-form optimum needs."""
+        ch = self._channel
+        for i, (key, h) in enumerate(zip(_PRIMED if self.use_prime else _LINKS,
+                                         (ch.h1, ch.h2, ch.h3)), start=1):
+            if h == 0:
+                raise ScenarioError(f"fading.{key} gives h{i} = 0, which leaves the optimal "
+                                    f"phase undefined")
+        return ch.theta0
 
-    def build_constellation(self, ch: ChannelTriple) -> Constellation:
-        """The scenario's symbols at its base phase, or at the optimum when none is given."""
+    def optimal_phase(self) -> PhaseSolution:
+        """The closed-form rate-maximizing base phase for this scheme and order."""
+        return optimal_phase(self.scheme, self.order, self.theta0())
+
+    def build_constellation(self, phase: float | None = None) -> Constellation:
+        """The scenario's symbols at `phase`, by default its base phase or else the optimum."""
         if self.scheme == "mpsk" and self.resolved_alpha0() == 0.0:
             # Zero ring amplitude: a silent device, phase immaterial.
             return explicit_constellation([0j] * self.order)
-        phase = self.optimal_phase(ch).phase_rad if self.base_phase is None else self.base_phase
+        if phase is None:
+            phase = self.optimal_phase().phase_rad if self.base_phase is None else self.base_phase
         if self.scheme == "mask":
             return mask_constellation(self.order, phase)
         return mpsk_constellation(self.order, self.resolved_alpha0(), phase)
@@ -160,10 +177,10 @@ def _required(section: dict, name: str):
     return section[key]
 
 
-def _model(cls, where: str, **values):
-    """`cls(**values)`, the model's own ValueError reported as an invalid `where`."""
+def _model(build, where: str, **values):
+    """`build(**values)`, the builder's own ValueError reported as an invalid `where`."""
     try:
-        return cls(**values)
+        return build(**values)
     except ValueError as exc:
         raise ScenarioError(f"invalid {where}: {exc}") from None
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,22 @@ class TestPathLoss:
         lo_g, hi_g = sorted((g_a, g_b))
         if lo_g != hi_g:
             assert mu(1.0, hi_g) > mu(1.0, lo_g)
+
+    @pytest.mark.parametrize("field, value, link", [
+        ("d3_m", 1e-100, 3),     # d**exponent underflows: a zero denominator
+        ("d1_m", 1e300, 1),      # d**exponent overflows
+        ("exponent", 300.0, 1),
+        ("gain_pt", 1e308, 1),   # the gain product is infinite
+    ])
+    def test_gain_beyond_float_range_names_the_link(self, default_model, field, value, link):
+        model = replace(default_model, **{field: value})
+        with pytest.raises(ValueError, match=f"power gain of link {link} is beyond"):
+            for which in (1, 2, 3):
+                path_loss(model, which)
+
+    def test_gain_underflow_is_a_dead_link(self, default_model):
+        model = replace(default_model, gain_pt=1e-300, gain_rx=1e-300)
+        assert path_loss(model, 1) == 0.0
 
     def test_model_requires_positive_fields(self):
         with pytest.raises(ValueError):
@@ -117,6 +134,8 @@ class TestSystemParams:
         dict(power_w=0.0, noise_w=1.0, spread=1),
         dict(power_w=1.0, noise_w=0.0, spread=1),
         dict(power_w=1.0, noise_w=1.0, spread=0),
+        dict(power_w=1e300, noise_w=1e-13, spread=1),   # P / sigma^2 = inf
+        dict(power_w=1.0, noise_w=1.0, spread=10**400),  # beyond the float range
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sbcrate
+from sbcrate.channel import channel_from_path_loss
 from sbcrate.cli import main
 from sbcrate.scenario import DEFAULT_SCENARIO, apply_overrides, load_scenario
 
@@ -73,6 +74,42 @@ class TestRateCommand:
         code, text = run_cli(tmp_path, "rate", "--scenario", str(scn))
         assert code == 0
 
+    @pytest.mark.parametrize("command, column", [("rate", 3), ("mi", 0)])
+    def test_dead_backscatter_at_a_fixed_phase_runs(self, tmp_path, command, column):
+        # No optimum is needed, and a dead backscatter path carries no device rate.
+        code, text = run_cli(tmp_path, command, "--override", "fading.l2=[0,0]",
+                             "--override", "modulation.base_phase=0.5")
+        assert code == 0
+        assert float(parse_csv(text)[1][0][column]) == 0.0
+
+    @pytest.mark.parametrize("primed", [False, True], ids=["l2", "l2_prime"])
+    @pytest.mark.parametrize("command, extra", [
+        ("rate", []),
+        ("mi", []),
+        ("optimize", ["modulation.base_phase=0.5"]),
+        ("phase-sweep", ["modulation.base_phase=0.5"]),
+        # The anti-optimal column needs the optimum at every order.
+        ("order-sweep", ["modulation.base_phase=0.5",
+                         'sweep={"variable":"order","lo":2,"hi":4,"steps":1}']),
+    ], ids=["rate", "mi", "optimize", "phase-sweep", "order-sweep"])
+    def test_dead_link_is_named_where_the_optimum_is_needed(self, capsys, command, extra,
+                                                            primed):
+        key = "l2_prime" if primed else "l2"
+        overrides = [f"fading.{key}=[0.0,0.0]", f"fading.use_prime={json.dumps(primed)}",
+                     *extra]
+        code = main([command, *(a for o in overrides for a in ("--override", o))])
+        assert code == 2
+        assert capsys.readouterr().err == (f"scenario error: fading.{key} gives h2 = 0, which "
+                                           f"leaves the optimal phase undefined\n")
+
+    @pytest.mark.parametrize("command", ["rate", "phase-sweep", "ratio-sweep", "order-sweep",
+                                         "optimize", "mi"])
+    def test_infinite_snr_exits_2_before_any_command_runs(self, capsys, command):
+        code = main([command, "--override", "system.power_w=1e300"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("scenario error: invalid system: ")
+
     @pytest.mark.parametrize("override, message", [
         pytest.param(o, m, id=o.partition("=")[0]) for o, m in [
             ("system.turbo=9", "unknown key 'system.turbo'"),
@@ -101,7 +138,27 @@ class TestRateCommand:
             ("system=[1,2]", "scenario.system must be an object, got [1, 2]"),
             ('modulation="mask"', "scenario.modulation must be an object, got 'mask'"),
             ("sweep=5", "scenario.sweep must be an object, got 5"),
-        ]])
+            # Link gains beyond the float range: d**exponent divides by zero,
+            # overflows, or the gain product is infinite.
+            ("pathloss.d3_m=1e-100",
+             "invalid pathloss: the power gain of link 3 is beyond the float range"),
+            ("pathloss.d1_m=1e300",
+             "invalid pathloss: the power gain of link 1 is beyond the float range"),
+            ("pathloss.exponent=300",
+             "invalid pathloss: the power gain of link 1 is beyond the float range"),
+            ("pathloss.gain_pt_db=3080",
+             "invalid pathloss: the power gain of link 1 is beyond the float range"),
+            # P / sigma^2 = inf: no rate of the scenario is finite.
+            ("system.power_w=1e300", "invalid system: spread * power_w / noise_w must be "
+                                     "finite, got 128 * 1e+300 / 1e-13"),
+            # A dead link leaves the optimal phase undefined; its sample is named.
+            ("fading.l1=[0,0]", "fading.l1 gives h1 = 0, which leaves the optimal phase "
+                                "undefined"),
+        ]] + [
+        pytest.param(f"system.spread={10**400}",
+                     f"invalid system: spread * power_w / noise_w must be finite, got "
+                     f"{10**400} * 0.05 / 1e-13", id="system.spread=10**400"),
+        ])
     def test_malformed_scenario_names_key_and_exits_2(self, tmp_path, capsys, override,
                                                       message):
         scn = write_scenario_file(tmp_path, [override])
@@ -404,6 +461,14 @@ class TestMi:
         assert code_a == code_b == code_c == 0
         assert a == b != c
 
+    def test_monte_carlo_output_records_its_seed_and_samples(self, tmp_path):
+        args = ["mi", "--method", "monte-carlo", "--override", "system.power_w=1e-9"]
+        _, given = run_cli(tmp_path, *args, "--samples", "20000", "--seed", "1", name="g.csv")
+        _, default = run_cli(tmp_path, *args, name="d.csv")
+        assert parse_csv(given)[0][2] == "# seed=1 samples=20000"
+        assert parse_csv(default)[0][2] == f"# seed={DEFAULT_SCENARIO['seed']} samples=100000"
+        assert parse_csv(default)[0][:2] == parse_csv(given)[0][:2]
+
 
 class TestExitCodes:
     def test_precision_failure_exits_3(self, monkeypatch, capsys):
@@ -420,6 +485,49 @@ class TestExitCodes:
     def test_unknown_command_is_argparse_error(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_engine_value_error_is_not_a_scenario_error(self, monkeypatch, capsys):
+        def fault(*args, **kwargs):
+            raise ValueError("engine fault")
+
+        monkeypatch.setattr("sbcrate.cli.mi_quadrature", fault)
+        with pytest.raises(ValueError, match="engine fault"):
+            main(["mi"])
+        assert "scenario error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        *((c, "--seed") for c in ("rate", "phase-sweep", "ratio-sweep", "order-sweep",
+                                  "optimize")),
+        *((c, "--grid") for c in ("rate", "order-sweep", "optimize", "mi")),
+    ])
+    def test_flag_a_subcommand_does_not_read_is_an_argparse_error(self, tmp_path, capsys,
+                                                                  command, flag):
+        with pytest.raises(SystemExit) as info:
+            run_cli(tmp_path, command, flag, "3")
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--seed", "--samples"])
+    def test_sampling_flag_under_quadrature_exits_2_naming_it(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            run_cli(tmp_path, "mi", flag, "20000")
+        assert info.value.code == 2
+        assert (f"argument {flag}: applies only to --method monte-carlo"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, floor", [
+        ("--seed", "-1", 0), ("--seed", "1.5", 0),
+        ("--samples", "0", 10_000), ("--samples", "9999", 10_000),
+    ])
+    def test_sampling_flag_below_its_floor_names_the_flag(self, tmp_path, capsys, flag, value,
+                                                          floor):
+        with pytest.raises(SystemExit) as info:
+            run_cli(tmp_path, "mi", "--method", "monte-carlo", flag, value)
+        assert info.value.code == 2
+        assert (f"argument {flag}: must be an integer >= {floor}, got {value!r}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["phase-sweep", "ratio-sweep"])
     @pytest.mark.parametrize("grid", ["0", "-3", "2.5"])
@@ -460,6 +568,23 @@ class TestDeterminism:
         assert texts == fresh
         assert "# scheme=mask order=4" in texts[0]
         assert "# scheme=mask order=2" in texts[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["rate"], ["phase-sweep", "--grid", "8"], ["optimize"], ["mi"],
+        ["ratio-sweep", "--override",
+         'sweep={"variable":"channel_ratio","lo":0.1,"hi":1.0,"steps":4}'],
+        ["order-sweep", "--override", 'sweep={"variable":"order","lo":2,"hi":8,"steps":1}'],
+    ], ids=lambda argv: argv[0])
+    def test_link_gains_are_computed_once_per_command(self, monkeypatch, capsys, argv):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return channel_from_path_loss(*args, **kwargs)
+
+        monkeypatch.setattr("sbcrate.scenario.channel_from_path_loss", counted)
+        assert main(argv) == 0
+        assert len(calls) == 1
 
     def test_metadata_carries_scenario_hash(self, tmp_path):
         _, text = run_cli(tmp_path, "rate")
