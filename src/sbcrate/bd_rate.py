@@ -22,13 +22,21 @@ analytic, so the difference of two levels is an honest error estimate.
 
 The sampled estimators draw fixed-size chunks, each from its own substream,
 on one thread per usable CPU, and add the per-chunk sums in chunk order: a
-fixed seed gives the same bits whatever the number of threads.
+fixed seed gives the same bits whatever the number of threads.  A chunk
+holds only the arrays its draw order forces (Monte Carlo: the symbol
+indices and the real parts of the observations, which then take the
+values); the imaginary draws, the observations and the kernel run in blocks
+of about `_KERNEL_BLOCK` samples.  Each worker thread takes its buffers from
+one `_Scratch` of memory maps that it reuses across its chunks and unmaps
+when the call returns.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -62,6 +70,11 @@ _KERNEL_BLOCK = 1 << 16
 #: set's structure (collinear, or an equally spaced ring).
 _STRUCTURE_TOL = 1e-12
 
+#: Largest g max|Gamma| the log-ratio kernel takes.  Its exponents
+#: 2 Re(y conj(g Gamma_i)) - |g Gamma_i|^2 reach -3 (g max|Gamma|)^2, which this
+#: keeps 1% inside the float range.
+MAX_SCALED_GAIN = 7.7e153
+
 
 class PrecisionError(RuntimeError):
     """Quadrature failed to converge within `_LEVELS` levels.
@@ -90,8 +103,26 @@ class MrcStatistics:
 
 def mrc_statistics(sys: SystemParams, ch: ChannelTriple) -> MrcStatistics:
     """g = sigma_s^2 = L P |h2|^2 |h3|^2 / sigma^2 for the given link."""
-    g = sys.spread * sys.power_w * ch.a2**2 * ch.a3**2 / sys.noise_w
+    try:
+        g = sys.spread * sys.power_w * ch.a2**2 * ch.a3**2 / sys.noise_w
+    except OverflowError:  # |h2| or |h3| squared beyond the float range
+        g = math.inf
     return MrcStatistics(gain=g, noise_var=g)
+
+
+def check_gain(gain: float, peak: float) -> None:
+    """Raise ValueError unless the kernel takes gain g for points up to |Gamma| = peak."""
+    if not gain * peak <= MAX_SCALED_GAIN:
+        raise ValueError(f"gain g = {gain!r} with max|Gamma| = {peak!r} puts g |Gamma| beyond "
+                         f"{MAX_SCALED_GAIN:g}, where the log-ratio kernel overflows")
+
+
+def _finite(total: float) -> float:
+    """`total`, a sum of log-ratio values, which must be finite."""
+    if not math.isfinite(total):
+        raise FloatingPointError(f"the log-ratio kernel overflowed (a sum of its values is "
+                                 f"{total!r})")
+    return total
 
 
 @dataclass(frozen=True)
@@ -103,9 +134,30 @@ class MiEstimate:
     method: str
 
 
-def _log_ratio_bits(y: np.ndarray, conditioned: int | np.ndarray, points: np.ndarray,
-                    gain: float, noise_var: float) -> np.ndarray:
-    """Per-observation log2[p(y | Gamma_m) / p(y)] for observations y.
+class _Scratch:
+    """Named 1-D buffers that one thread reuses; a buffer holds what it held last.
+
+    Each buffer is an anonymous memory map, unmapped when the last array on
+    it goes.  From the heap, the freed buffers would stay in the thread's
+    malloc arena, and what the next call found there set the peak memory.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, n: int, dtype: type = float) -> np.ndarray:
+        buf = self._buffers.get(name)
+        if buf is None or len(buf) < n:
+            nbytes = max(n, 1) * np.dtype(dtype).itemsize
+            buf = self._buffers[name] = np.frombuffer(mmap.mmap(-1, nbytes), dtype)
+        return buf[:n]
+
+
+def _log_ratio_bits(yr: np.ndarray, yi: np.ndarray, conditioned: int | np.ndarray,
+                    points: np.ndarray, gain: float, noise_var: float,
+                    out: np.ndarray | None = None,
+                    scratch: _Scratch | None = None) -> np.ndarray:
+    """Per-observation log2[p(y | Gamma_m) / p(y)] for observations y = yr + j yi.
 
     `conditioned` is the transmitted symbol index, one for all observations
     or one per observation.  Differences of the Gaussian exponents are taken
@@ -113,39 +165,48 @@ def _log_ratio_bits(y: np.ndarray, conditioned: int | np.ndarray, points: np.nda
     up to ~1e8 stay inside the exponential range.  The |y|^2 term cancels in
     the difference and is never formed.  Observations are taken in blocks of
     about `_KERNEL_BLOCK` matrix entries; each column is reduced on its own,
-    so the block size does not change a bit of the result.
+    row by row, so neither the block size nor a split of the observations
+    over several calls changes a bit of the result.  The values go to `out`,
+    which may be `yr` itself; the work buffers come from `scratch`.
     """
-    out = np.zeros(y.shape[0])
+    n = len(yr)
+    if out is None:
+        out = np.empty(n)
     if gain == 0.0:
+        out[:] = 0.0
         return out
     M = len(points)
     scaled = gain * points
-    sr, si = scaled.real[:, None], scaled.imag[:, None]
+    # The 2 of 2 Re(y conj(g G_i)) scales the coefficients: exact short of
+    # underflow, and one pass fewer.
+    sr, si = 2.0 * scaled.real[:, None], 2.0 * scaled.imag[:, None]
     energy = (np.abs(scaled) ** 2)[:, None]
-    step = max(min(_KERNEL_BLOCK // M, len(y)), 1)
+    step = max(min(_KERNEL_BLOCK // M, n), 1)
     cols = np.arange(step)
     # One allocation: two equal buffers would reach glibc's trim threshold
     # (twice the largest chunk freed) and be faulted in again on every call.
-    u_buf, t_buf = np.empty((2, M * step))
-    for lo in range(0, len(y), step):
-        yr, yi = y[lo:lo + step].real, y[lo:lo + step].imag
-        u = u_buf[:M * len(yr)].reshape(M, -1)
-        t = t_buf[:M * len(yr)].reshape(M, -1)
+    work = (np.empty(2 * M * step) if scratch is None
+            else scratch.array("kernel", 2 * M * step))
+    for lo in range(0, n, step):
+        k = min(step, n - lo)
+        u = work[:M * k].reshape(M, k)
+        t = work[M * k:2 * M * k].reshape(M, k)
         # u[i, n] = (2 Re(y conj(g G_i)) - |g G_i|^2) / nv; the log ratio needs
         # only u_i - u_m, and u_m is gathered from u itself, so u_m - u_m == 0.
-        np.multiply(sr, yr, out=u)
-        u += np.multiply(si, yi, out=t)
-        u *= 2.0
+        np.multiply(sr, yr[lo:lo + k], out=u)
+        u += np.multiply(si, yi[lo:lo + k], out=t)
         u -= energy
         u /= noise_var
         if np.ndim(conditioned) == 0:
             u -= u[conditioned].copy()
         else:
-            u -= u[conditioned[lo:lo + step], cols[:len(yr)]]
+            u -= u[conditioned[lo:lo + k], cols[:k]]
         umax = np.maximum(u.max(axis=0), 0.0)
         u -= umax
         np.exp(u, out=u)
-        out[lo:lo + step] = math.log2(M) - (umax / _LN2 + np.log2(u.sum(axis=0)))
+        # numpy sums a single column pairwise, wider blocks row by row.
+        total = u.sum(axis=0) if k > 1 else np.add.accumulate(u[:, 0])[-1:]
+        out[lo:lo + k] = math.log2(M) - (umax / _LN2 + np.log2(total))
     return out
 
 
@@ -222,6 +283,7 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics,
         return MiEstimate(value_bits=0.0, std_error_bits=0.0, method="quadrature")
     if stats.noise_var <= 0.0:
         raise ValueError(f"noise_var must be > 0, got {stats.noise_var!r}")
+    check_gain(stats.gain, float(np.abs(points).max()))
 
     M = len(points)
     shifted = points - points[0]
@@ -255,12 +317,12 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics,
         for start in range(0, count, block):
             term, node = np.divmod(np.arange(start, min(start + block, count)), len(z))
             m = terms[term]
-            v = _log_ratio_bits(stats.gain * points[m] + noise[node], m, points,
-                                stats.gain, stats.noise_var)
+            y = stats.gain * points[m] + noise[node]
+            v = _log_ratio_bits(y.real, y.imag, m, points, stats.gain, stats.noise_var)
             # (w * v).sum(), not w @ v: numpy's pairwise sum, not a BLAS dot
             # whose bits may depend on the machine.
             total += float((counts[term] * weights[node] * v).sum())
-        return total / M
+        return _finite(total) / M
 
     prev = added(0)
     for level in range(1, _LEVELS):
@@ -273,18 +335,18 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics,
                          achieved)
 
 
-def _add_complex_normal(rng: np.random.Generator, y: np.ndarray, *scales: float) -> None:
-    """y += scales[-1] * (... * (scales[0] * (x + j x'))), in place, real parts drawn first.
+def _normal_blocks(rng: np.random.Generator, n: int, buf: np.ndarray, *scales: float):
+    """Yield (span, x) over range(n): x = scales[-1] * (... (scales[0] * z)) for z
+    the next len(buf) or fewer standard normals, drawn into `buf`.
 
-    The same bits as adding the complex noise array, with one float buffer
-    for the draws.
+    Drawn piece by piece, the stream continues exactly as one call of n.
     """
-    noise = np.empty(len(y))
-    for part in (y.real, y.imag):
-        rng.standard_normal(out=noise)
+    for lo in range(0, n, len(buf)):
+        x = buf[:min(len(buf), n - lo)]
+        rng.standard_normal(out=x)
         for scale in scales:
-            noise *= scale
-        part += noise
+            x *= scale
+        yield slice(lo, lo + len(x)), x
 
 
 def _usable_cpus() -> int:
@@ -295,21 +357,27 @@ def _usable_cpus() -> int:
 
 
 def _sample_mean(samples: int, chunk: int,
-                 values: Callable[[int, int], np.ndarray]) -> MiEstimate:
+                 values: Callable[[int, int, _Scratch], np.ndarray]) -> MiEstimate:
     """Sample mean and standard error of `samples` values drawn in chunks.
 
-    `values(index, size)` returns the values of one chunk.  Chunks run on a
-    pool of threads, one per usable CPU but no more than there are chunks
-    (numpy's random fills and ufunc loops release the GIL); each chunk is
-    reduced to its sum and sum of squares, and these are added in index
-    order.  So a result depends only on what each chunk draws, not on the
-    number of threads.
+    `values(index, size, scratch)` returns the values of one chunk, which
+    may live in `scratch`, the buffers of the worker thread running it.
+    Chunks run on a pool of threads, one per usable CPU but no more than
+    there are chunks (numpy's random fills and ufunc loops release the GIL);
+    each chunk is reduced to its sum and sum of squares, and these are added
+    in index order.  So a result depends only on what each chunk draws, not
+    on the number of threads.
     """
     sizes = [min(chunk, samples - start) for start in range(0, samples, chunk)]
+    workers = threading.local()  # dropped with the pool when the call returns
 
     def moments(index: int) -> tuple[float, float]:
-        vals = values(index, sizes[index])
-        return float(vals.sum()), float((vals * vals).sum())
+        if not hasattr(workers, "scratch"):
+            workers.scratch = _Scratch()
+        vals = values(index, sizes[index], workers.scratch)
+        total = float(vals.sum())
+        vals *= vals
+        return total, float(vals.sum())
 
     # Imported here: it adds about 10 ms to `import sbcrate` otherwise.
     from concurrent.futures import ThreadPoolExecutor
@@ -319,8 +387,8 @@ def _sample_mean(samples: int, chunk: int,
     for chunk_sum, chunk_sq in sums:
         total += chunk_sum
         total_sq += chunk_sq
-    mean = total / samples
-    var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
+    mean = _finite(total) / samples
+    var = max(_finite(total_sq) - samples * mean * mean, 0.0) / (samples - 1)
     return MiEstimate(value_bits=mean, std_error_bits=math.sqrt(var / samples),
                       method="monte_carlo")
 
@@ -341,16 +409,24 @@ def mi_monte_carlo(c: Constellation, stats: MrcStatistics, samples: int,
     if stats.noise_var <= 0.0:
         raise ValueError(f"noise_var must be > 0, got {stats.noise_var!r}")
     points = np.asarray(c.points, dtype=complex)
+    check_gain(stats.gain, float(np.abs(points).max()))
     scaled = stats.gain * points
     half = math.sqrt(stats.noise_var / 2.0)
 
-    def values(chunk_index: int, n: int) -> np.ndarray:
+    def values(chunk_index: int, n: int, scratch: _Scratch) -> np.ndarray:
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
         m = rng.integers(0, len(points), size=n)
-        y = scaled[m]
-        _add_complex_normal(rng, y, half)
-        return _log_ratio_bits(y, m, points, stats.gain, stats.noise_var)
+        # y = g Gamma_m + noise, all real noise parts drawn before any imaginary one.
+        yr = scratch.array("y_real", n)
+        buf = scratch.array("draws", min(n, _KERNEL_BLOCK))
+        for span, x in _normal_blocks(rng, n, buf, half):
+            np.add(scaled.real[m[span]], x, out=yr[span])
+        for span, x in _normal_blocks(rng, n, buf, half):
+            x += scaled.imag[m[span]]
+            _log_ratio_bits(yr[span], x, m[span], points, stats.gain, stats.noise_var,
+                            out=yr[span], scratch=scratch)
+        return yr
 
     return _sample_mean(samples, _MC_CHUNK, values)
 

@@ -78,7 +78,9 @@ def make_channel(mu: float, fading: complex) -> complex:
         raise ValueError(f"path loss mu must be finite and >= 0, got {mu!r}")
     fading = complex(fading)
     _require_finite("fading sample", fading)
-    return math.sqrt(mu) * fading
+    h = math.sqrt(mu) * fading
+    _require_finite("sqrt(mu) * fading sample", h)
+    return h
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .bd_rate import (_KERNEL_BLOCK, MiEstimate, _add_complex_normal, _log_ratio_bits,
-                      _sample_mean, mrc_statistics)
+from .bd_rate import (_KERNEL_BLOCK, MiEstimate, _log_ratio_bits, _normal_blocks, _sample_mean,
+                      _Scratch, check_gain, mrc_statistics)
 from .channel import ChannelTriple, SystemParams
 from .constellation import Constellation
 
@@ -43,9 +44,16 @@ class RngSpec:
 
 def cscg_samples(rng: np.random.Generator, n: int) -> np.ndarray:
     """Unit-variance circularly symmetric complex Gaussian samples."""
-    z = np.zeros(n, dtype=complex)
-    _add_complex_normal(rng, z, math.sqrt(0.5))
+    z = np.empty(n, dtype=complex)
+    _fill_cscg(rng, z, np.empty(max(min(n, _KERNEL_BLOCK), 1)))
     return z
+
+
+def _fill_cscg(rng: np.random.Generator, z: np.ndarray, buf: np.ndarray) -> None:
+    """z = unit-variance CSCG samples, all real parts drawn first, `buf` at a time."""
+    for part in (z.real, z.imag):
+        for span, x in _normal_blocks(rng, len(z), buf, math.sqrt(0.5)):
+            part[span] = x
 
 
 def _warn_low_spread(L: int) -> None:
@@ -88,29 +96,86 @@ def simulate_block(sys: SystemParams, ch: ChannelTriple, c: Constellation,
         raise ValueError(f"n_bd_symbols must be >= 1, got {n_bd_symbols!r}")
     _warn_low_spread(sys.spread)
     gen = rng.generator() if isinstance(rng, RngSpec) else rng
-    return _simulate(sys, ch, c, n_bd_symbols, gen, normalize_pt_power)
+    s = np.empty(n_bd_symbols * sys.spread, dtype=complex)
+    received = np.empty_like(s)
+    rx = received.reshape(n_bd_symbols, sys.spread)
+
+    def take(rows: slice, y: np.ndarray) -> None:
+        rx[rows] = y
+
+    idx = _chain(sys, ch, c, n_bd_symbols, gen, normalize_pt_power, s, rx.real, _Scratch(),
+                 take)
+    return SimulatedBlock(pt_symbols=s, bd_symbol_indices=idx, received=received)
 
 
-def _simulate(sys: SystemParams, ch: ChannelTriple, c: Constellation, n_bd: int,
-              gen: np.random.Generator, normalize_pt_power: bool) -> SimulatedBlock:
-    """`simulate_block` without its checks; the chunks of `empirical_bd_mi` run it."""
+def _row_blocks(n_bd: int, L: int) -> list[slice]:
+    """Consecutive device symbols (rows of L samples), about `_KERNEL_BLOCK` samples a block."""
+    rows = max(_KERNEL_BLOCK // L, 1)
+    return [slice(lo, min(lo + rows, n_bd)) for lo in range(0, n_bd, rows)]
+
+
+def _chain(sys: SystemParams, ch: ChannelTriple, c: Constellation, n_bd: int,
+           gen: np.random.Generator, normalize_pt_power: bool, s: np.ndarray,
+           y_real: np.ndarray, scratch: _Scratch,
+           take: Callable[[slice, np.ndarray], None]) -> np.ndarray:
+    """The chain of `simulate_block` one row block at a time; returns the symbol indices.
+
+    Fills `s` (n_bd L complex) with the primary symbols and `y_real` (n_bd x L)
+    with the real parts of the received samples, then calls `take(rows, y)`
+    with the received samples of each row block, in a buffer reused for the
+    next block.  The draws keep the order of the whole-array chain: all real
+    then all imaginary parts of s, the device symbols, then all real and all
+    imaginary noise parts.  Every other operation acts on one sample or
+    reduces one row, so the blocks do not change a bit of the result.
+    """
     L = sys.spread
-    s = cscg_samples(gen, n_bd * L)
+    blocks = _row_blocks(n_bd, L)
+    buf = scratch.array("draws", (blocks[0].stop - blocks[0].start) * L)
+    _fill_cscg(gen, s, buf)
     spans = s.reshape(n_bd, L)
     if normalize_pt_power:
-        energy = np.abs(spans)
-        np.square(energy, out=energy)
-        energy = np.sqrt(np.mean(energy, axis=1, keepdims=True))
         # Scaling the float view by 1/energy gives the bits of complex / real.
         parts = s.view(float).reshape(n_bd, 2 * L)
-        parts *= 1.0 / energy
+        energy = scratch.array("energy", len(buf))
+        for rows in blocks:
+            span = spans[rows]
+            e = np.abs(span, out=energy[:span.size].reshape(span.shape))
+            np.square(e, out=e)
+            parts[rows] *= 1.0 / np.sqrt(np.mean(e, axis=1, keepdims=True))
     idx = gen.integers(0, c.order, size=n_bd)
     gamma = np.asarray(c.points, dtype=complex)[idx]
     h_eq = ch.h1 + ch.h2 * ch.h3 * gamma          # per device symbol
-    y = np.multiply((math.sqrt(sys.power_w) * h_eq)[:, None], spans).reshape(n_bd * L)
-    # Noise sqrt(sigma^2) * cscg_samples(gen, n_bd * L).
-    _add_complex_normal(gen, y, math.sqrt(0.5), math.sqrt(sys.noise_w))
-    return SimulatedBlock(pt_symbols=s, bd_symbol_indices=idx, received=y)
+    paths = (math.sqrt(sys.power_w) * h_eq)[:, None]
+    y = scratch.array("received", len(buf), complex)
+    # y = sqrt(P) h_eq s + sqrt(sigma^2) * CSCG noise.  The noise's real and
+    # imaginary parts are drawn in two passes, so the product is formed in each.
+    noise = (math.sqrt(0.5), math.sqrt(sys.noise_w))
+    for rows, (_, x) in zip(blocks, _normal_blocks(gen, n_bd * L, buf, *noise)):
+        yb = np.multiply(paths[rows], spans[rows], out=y[:len(x)].reshape(-1, L))
+        np.add(yb.real, x.reshape(-1, L), out=y_real[rows])
+    for rows, (_, x) in zip(blocks, _normal_blocks(gen, n_bd * L, buf, *noise)):
+        yb = np.multiply(paths[rows], spans[rows], out=y[:len(x)].reshape(-1, L))
+        yb.imag += x.reshape(-1, L)
+        yb.real = y_real[rows]
+        take(rows, yb)
+    return idx
+
+
+def _combine(y: np.ndarray, s: np.ndarray, residual: np.ndarray, sys: SystemParams,
+             ch: ChannelTriple) -> np.ndarray:
+    """Cancel the direct path from rows y of L samples, then combine each row.
+
+    residual = y - sqrt(P) h1 s goes to `residual`, which may be `y`; returns
+    sum over each row of (sqrt(P) h2 h3 s)* residual / sigma^2.
+    """
+    weights = np.multiply(math.sqrt(sys.power_w) * ch.h1, s)
+    np.subtract(y, weights, out=residual)
+    np.multiply(math.sqrt(sys.power_w) * ch.h2 * ch.h3, s, out=weights)
+    np.conjugate(weights, out=weights)
+    weights *= residual
+    out = weights.sum(axis=1)
+    out /= sys.noise_w
+    return out
 
 
 def sic_mrc_receiver(block: SimulatedBlock, sys: SystemParams, ch: ChannelTriple,
@@ -133,18 +198,9 @@ def sic_mrc_receiver(block: SimulatedBlock, sys: SystemParams, ch: ChannelTriple
     s = block.pt_symbols.reshape(n_bd, L)
     y = block.received.reshape(n_bd, L)
     res = residual.reshape(n_bd, L)
-    direct = math.sqrt(sys.power_w) * ch.h1
-    cascade = math.sqrt(sys.power_w) * ch.h2 * ch.h3
     out = np.empty(n_bd, dtype=complex)
-    rows = max(_KERNEL_BLOCK // L, 1)
-    for lo in range(0, n_bd, rows):
-        span = slice(lo, lo + rows)
-        np.subtract(y[span], direct * s[span], out=res[span])
-        weights = np.multiply(cascade, s[span])
-        np.conjugate(weights, out=weights)
-        weights *= res[span]
-        out[span] = weights.sum(axis=1)
-    out /= sys.noise_w
+    for rows in _row_blocks(n_bd, L):
+        out[rows] = _combine(y[rows], s[rows], res[rows], sys, ch)
     return out
 
 
@@ -154,19 +210,31 @@ def empirical_bd_mi(sys: SystemParams, ch: ChannelTriple, c: Constellation,
 
     Runs the full chain in chunks (one substream per chunk, so the estimate
     is independent of scheduling), feeds the (symbol, output) pairs into the
-    model log ratio, and reports the sample mean and standard error.
+    model log ratio, and reports the sample mean and standard error.  A
+    chunk keeps only its primary symbols and the real parts of its received
+    samples; each row block is combined as soon as it is complete.
     """
     if n_bd_symbols < 10_000:
         raise ValueError(f"n_bd_symbols must be >= 10000, got {n_bd_symbols!r}")
     _warn_low_spread(sys.spread)
     stats = mrc_statistics(sys, ch)
     points = np.asarray(c.points, dtype=complex)
+    check_gain(stats.gain, float(np.abs(points).max()))
+    L = sys.spread
 
-    def values(chunk_index: int, n: int) -> np.ndarray:
-        block = _simulate(sys, ch, c, n, rng.generator(chunk_index), True)
-        # The residual is not kept, so it overwrites the received samples.
-        y = sic_mrc_receiver(block, sys, ch, block.received)
-        return _log_ratio_bits(y, block.bd_symbol_indices, points,
-                               stats.gain, stats.noise_var)
+    def values(chunk_index: int, n: int, scratch: _Scratch) -> np.ndarray:
+        s = scratch.array("s", n * L, complex)
+        spans = s.reshape(n, L)
+        outputs = scratch.array("outputs", n, complex)
+
+        def take(rows: slice, y: np.ndarray) -> None:
+            # The residual is not kept, so it overwrites the received samples.
+            outputs[rows] = _combine(y, spans[rows], y, sys, ch)
+
+        idx = _chain(sys, ch, c, n, rng.generator(chunk_index), True, s,
+                     scratch.array("y_real", n * L).reshape(n, L), scratch, take)
+        return _log_ratio_bits(outputs.real, outputs.imag, idx, points, stats.gain,
+                               stats.noise_var, out=scratch.array("values", n),
+                               scratch=scratch)
 
     return _sample_mean(n_bd_symbols, _SIM_CHUNK, values)

@@ -17,7 +17,8 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .channel import ChannelTriple, PathLossModel, SystemParams, channel_from_path_loss
+from .bd_rate import check_gain, mrc_statistics
+from .channel import ChannelTriple, PathLossModel, SystemParams, make_channel, path_loss
 from .constellation import (Constellation, equal_power_psk_amplitude, explicit_constellation,
                             mask_constellation, mpsk_constellation)
 from .phase_opt import PhaseSolution, optimal_phase, phase_period
@@ -111,10 +112,20 @@ class Scenario:
     _channel: ChannelTriple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # The link gains are computed, and so checked, once per scenario.
-        object.__setattr__(self, "_channel", _model(
-            channel_from_path_loss, "pathloss", model=self.pathloss,
-            **dict(zip(_LINKS, self.fading_prime if self.use_prime else self.fading))))
+        # The link gains, and the coupling the device-rate kernel takes, are
+        # computed, and so checked, once per scenario.
+        samples = self.fading_prime if self.use_prime else self.fading
+        channel = ChannelTriple(*(
+            _model(make_channel, f"pathloss and fading.{key}", fading=sample,
+                   mu=_model(path_loss, "pathloss", model=self.pathloss, which_link=link))
+            for link, (key, sample) in enumerate(zip(self._fading_keys(), samples), start=1)))
+        _model(check_gain, "system", gain=mrc_statistics(self.system, channel).gain,
+               peak=1.0 if self.scheme == "mask" else self.resolved_alpha0())
+        object.__setattr__(self, "_channel", channel)
+
+    def _fading_keys(self) -> tuple[str, str, str]:
+        """The `fading` keys of the samples in use."""
+        return _PRIMED if self.use_prime else _LINKS
 
     def channel(self) -> ChannelTriple:
         return self._channel
@@ -128,8 +139,7 @@ class Scenario:
     def theta0(self) -> float:
         """The composite channel phase, which every closed-form optimum needs."""
         ch = self._channel
-        for i, (key, h) in enumerate(zip(_PRIMED if self.use_prime else _LINKS,
-                                         (ch.h1, ch.h2, ch.h3)), start=1):
+        for i, (key, h) in enumerate(zip(self._fading_keys(), (ch.h1, ch.h2, ch.h3)), start=1):
             if h == 0:
                 raise ScenarioError(f"fading.{key} gives h{i} = 0, which leaves the optimal "
                                     f"phase undefined")

@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import dblquad, quad
 
 from sbcrate.bd_rate import (_FIRST_STEP, _KERNEL_BLOCK, _LEVELS, _RADIUS2, DEFAULT_MI_TOL,
-                             MrcStatistics, PrecisionError, _log_ratio_bits, _trapezoid_nodes,
-                             bd_rate, mi_monte_carlo, mi_quadrature, mrc_statistics)
+                             MAX_SCALED_GAIN, MrcStatistics, PrecisionError, _log_ratio_bits,
+                             _trapezoid_nodes, bd_rate, mi_monte_carlo, mi_quadrature,
+                             mrc_statistics)
 from sbcrate.channel import SystemParams
 from sbcrate.constellation import explicit_constellation, mask_constellation, mpsk_constellation
+from sbcrate.link_sim import RngSpec, empirical_bd_mi
 
 from .conftest import channel_from_polar
 
@@ -171,9 +174,9 @@ def kernel_entries(monkeypatch):
         levels.append([level, 0])
         return rule(level, region)
 
-    def counting_kernel(y, conditioned, points, gain, noise_var):
-        levels[-1][1] += len(points) * len(y)
-        return kernel(y, conditioned, points, gain, noise_var)
+    def counting_kernel(yr, yi, conditioned, points, gain, noise_var):
+        levels[-1][1] += len(points) * len(yr)
+        return kernel(yr, yi, conditioned, points, gain, noise_var)
 
     monkeypatch.setattr(engine, "_trapezoid_nodes", counting_rule)
     monkeypatch.setattr(engine, "_log_ratio_bits", counting_kernel)
@@ -212,8 +215,59 @@ class TestLogRatioKernel:
         m = rng.integers(0, M, size=n) if per_observation else M // 2
         y = g * points[m] + math.sqrt(g / 2) * (rng.standard_normal(n)
                                                 + 1j * rng.standard_normal(n))
-        got = _log_ratio_bits(y, m, points, g, g)
+        got = _log_ratio_bits(y.real, y.imag, m, points, g, g)
         assert np.array_equal(got, whole_log_ratio_oracle(y, m, points, g, g))
+
+    @pytest.mark.parametrize("M", [3, 8, 16])
+    def test_any_split_of_the_observations_gives_the_same_bits(self, M):
+        # The samplers feed the kernel block by block.  Pieces of one
+        # observation are the hard case: numpy sums a lone column pairwise.
+        n = _KERNEL_BLOCK // M + 2000
+        rng = np.random.default_rng(100 + M)
+        points = np.asarray(mpsk_constellation(M, 0.9, 0.01).points, dtype=complex)
+        g = 40.0
+        m = rng.integers(0, M, size=n)
+        y = g * points[m] + math.sqrt(g / 2) * (rng.standard_normal(n)
+                                                + 1j * rng.standard_normal(n))
+        whole = _log_ratio_bits(y.real, y.imag, m, points, g, g)
+        cuts = np.concatenate([np.arange(1, 200), rng.integers(200, n, size=20)])
+        pieces = [_log_ratio_bits(y.real[a:b], y.imag[a:b], m[a:b], points, g, g)
+                  for a, b in zip(np.r_[0, np.sort(cuts)], np.r_[np.sort(cuts), n])]
+        assert np.array_equal(np.concatenate(pieces), whole)
+
+
+ESTIMATORS = pytest.mark.parametrize("estimate", [
+    lambda c, st_: mi_quadrature(c, st_),
+    lambda c, st_: mi_monte_carlo(c, st_, samples=10_000, seed=1),
+], ids=["quadrature", "monte_carlo"])
+
+
+class TestKernelRange:
+    """g max|Gamma| beyond MAX_SCALED_GAIN is refused; a non-finite value never escapes."""
+
+    RING = mpsk_constellation(8, 1.0, 0.1)
+
+    @ESTIMATORS
+    def test_gain_beyond_the_range_is_named(self, estimate):
+        g = 0.999 * MAX_SCALED_GAIN  # |Gamma| is 1 to rounding
+        assert estimate(self.RING, MrcStatistics(g, g)).value_bits == 3.0
+        g = 1e154
+        with pytest.raises(ValueError, match=re.escape(f"gain g = {g!r}")):
+            estimate(self.RING, MrcStatistics(g, g))
+
+    def test_simulated_link_names_the_gain(self):
+        sys = SystemParams(power_w=1e153, noise_w=1.0, spread=16)  # g = 1.6e154
+        with pytest.raises(ValueError, match="gain g = "):
+            empirical_bd_mi(sys, channel_from_polar(1.0, 1.0, 1.0), self.RING, 10_000,
+                            RngSpec(1))
+
+    @ESTIMATORS
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflow_off_the_receiver_model_raises(self, estimate):
+        # noise_var far below the gain: the exponents overflow to nan.
+        with pytest.raises(FloatingPointError, match="overflowed"):
+            estimate(self.RING, MrcStatistics(1e100, 1e-250))
 
 
 class TestTruncatedRule:
@@ -231,7 +285,7 @@ class TestTruncatedRule:
         z = radius * rng.uniform(0.0, 1.0, 64) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 64))
         m = rng.integers(0, M, size=64)
         y = gain * points[m] + math.sqrt(noise_var) * z
-        v = _log_ratio_bits(y, m, points, gain, noise_var)
+        v = _log_ratio_bits(y.real, y.imag, m, points, gain, noise_var)
         scaled = np.abs(gain * points)
         exponent_scale = (scaled.max() ** 2 + 2.0 * scaled.max() * np.abs(y)) / noise_var
         assert np.all(v <= math.log2(M))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sbcrate
-from sbcrate.channel import channel_from_path_loss
+from sbcrate.channel import path_loss
 from sbcrate.cli import main
 from sbcrate.scenario import DEFAULT_SCENARIO, apply_overrides, load_scenario
 
@@ -110,6 +110,39 @@ class TestRateCommand:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("scenario error: invalid system: ")
 
+    @pytest.mark.parametrize("primed", [False, True], ids=["l3", "l3_prime"])
+    def test_overflowing_channel_names_pathloss_and_its_fading_sample(self, capsys, primed):
+        # Each factor is finite; their product sqrt(mu_3) * l3 is not.
+        key = "l3_prime" if primed else "l3"
+        overrides = [f"fading.{key}=[1e308,0]", f"fading.use_prime={json.dumps(primed)}",
+                     "pathloss.gain_bd_db=100"]
+        code = main(["rate", *(a for o in overrides for a in ("--override", o))])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"scenario error: invalid pathloss and fading.{key}: sqrt(mu) * fading sample "
+            f"must have finite real and imaginary parts, got (inf+0j)\n")
+
+    RING_8 = ["--override", "modulation.scheme=mpsk", "--override", "modulation.order=8"]
+
+    @pytest.mark.parametrize("argv", [["rate"], ["mi"], ["mi", "--method", "monte-carlo"]],
+                             ids=["rate", "mi", "mi-mc"])
+    def test_coupling_beyond_the_kernel_range_exits_2_naming_system(self, capsys, argv):
+        # g |Gamma| = 7.7e155: the kernel's exponents would overflow to nan.
+        code = main([*argv, *self.RING_8, "--override", "system.power_w=1e152"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("scenario error: invalid system: gain g = 1.28")
+
+    @pytest.mark.parametrize("argv, column", [
+        (["rate"], "bd_rate_bits"), (["mi"], "value_bits"),
+        (["mi", "--method", "monte-carlo"], "value_bits")], ids=["rate", "mi", "mi-mc"])
+    def test_largest_coupling_in_range_gives_the_full_rate(self, tmp_path, argv, column):
+        # g |Gamma| = 7.68e153, just inside the kernel's range.
+        code, text = run_cli(tmp_path, *argv, *self.RING_8, "--override", "system.power_w=1e150")
+        assert code == 0
+        _, rows, header = parse_csv(text)
+        assert float(rows[0][header.index(column)]) == 3.0
+
     @pytest.mark.parametrize("override, message", [
         pytest.param(o, m, id=o.partition("=")[0]) for o, m in [
             ("system.turbo=9", "unknown key 'system.turbo'"),
@@ -154,6 +187,10 @@ class TestRateCommand:
             # A dead link leaves the optimal phase undefined; its sample is named.
             ("fading.l1=[0,0]", "fading.l1 gives h1 = 0, which leaves the optimal phase "
                                 "undefined"),
+            # |h2|^2 beyond the float range, so the coupling g is too.
+            ("fading.l2=[1e200,0]", "invalid system: gain g = inf with max|Gamma| = 1.0 puts "
+                                    "g |Gamma| beyond 7.7e+153, where the log-ratio kernel "
+                                    "overflows"),
         ]] + [
         pytest.param(f"system.spread={10**400}",
                      f"invalid system: spread * power_w / noise_w must be finite, got "
@@ -580,11 +617,11 @@ class TestDeterminism:
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return channel_from_path_loss(*args, **kwargs)
+            return path_loss(*args, **kwargs)
 
-        monkeypatch.setattr("sbcrate.scenario.channel_from_path_loss", counted)
+        monkeypatch.setattr("sbcrate.scenario.path_loss", counted)
         assert main(argv) == 0
-        assert len(calls) == 1
+        assert len(calls) == 3  # once per link
 
     def test_metadata_carries_scenario_hash(self, tmp_path):
         _, text = run_cli(tmp_path, "rate")

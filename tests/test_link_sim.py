@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from sbcrate.bd_rate import mi_quadrature, mrc_statistics
+from sbcrate import link_sim
+from sbcrate.bd_rate import _KERNEL_BLOCK, _log_ratio_bits, mi_quadrature, mrc_statistics
 from sbcrate.channel import ChannelTriple, SystemParams
 from sbcrate.constellation import (explicit_constellation, mask_constellation,
                                    mpsk_constellation)
@@ -84,21 +85,62 @@ class TestSimulateBlock:
         assert np.allclose(power, 1.0, rtol=1e-12)
 
 
-@pytest.mark.parametrize("L", [16, 64, 128])
-@pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
-def test_chain_matches_whole_array_oracle(default_channel, L, normalize):
+def assert_chain_matches_oracle(ch, L: int, n_bd: int, normalize: bool) -> None:
     # Neither power nor noise a power of ten, so no scaling is exact by accident.
     sys = SystemParams(power_w=7.3e-4, noise_w=2.9e-13, spread=L)
     c = mpsk_constellation(4, 0.8, 0.1)
-    block = simulate_block(sys, default_channel, c, 300, RngSpec(41, stream=L),
+    block = simulate_block(sys, ch, c, n_bd, RngSpec(41, stream=L),
                            normalize_pt_power=normalize)
     residual = np.empty(len(block.received), dtype=complex)
-    outputs = sic_mrc_receiver(block, sys, default_channel, residual)
-    want = chain_oracle(sys, default_channel, c, 300, RngSpec(41, stream=L).generator(),
-                        normalize)
+    outputs = sic_mrc_receiver(block, sys, ch, residual)
+    want = chain_oracle(sys, ch, c, n_bd, RngSpec(41, stream=L).generator(), normalize)
     got = (block.pt_symbols, block.bd_symbol_indices, block.received, residual, outputs)
     for name, a, b in zip(("s", "indices", "received", "residual", "outputs"), got, want):
         assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("L", [16, 64, 128])
+@pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
+def test_chain_matches_whole_array_oracle(default_channel, L, normalize):
+    assert_chain_matches_oracle(default_channel, L, 300, normalize)
+
+
+@pytest.mark.parametrize("L, n_bd", [
+    (100, 2 * 655 + 17),       # blocks of 655 rows; L does not divide _KERNEL_BLOCK
+    (128, 2 * 512 + 76),       # blocks of 512 rows, the last one short
+    (_KERNEL_BLOCK + 3, 3),    # one row per block
+])
+@pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
+def test_chain_in_row_blocks_matches_whole_array_oracle(default_channel, L, n_bd, normalize):
+    assert_chain_matches_oracle(default_channel, L, n_bd, normalize)
+
+
+@pytest.mark.parametrize("L, kernel_block",
+                         [(100, _KERNEL_BLOCK), (100, 64), (128, _KERNEL_BLOCK)],
+                         ids=["655_rows", "1_row", "512_rows"])
+def test_streamed_estimate_matches_receiver_on_simulated_blocks(default_channel, monkeypatch,
+                                                                L, kernel_block):
+    # empirical_bd_mi combines each row block as soon as it is drawn; the same
+    # chunks simulated whole and combined by sic_mrc_receiver give its bits.
+    monkeypatch.setattr(link_sim, "_KERNEL_BLOCK", kernel_block)
+    sys = SystemParams(power_w=7.3e-4, noise_w=2.9e-13, spread=L)
+    c = mpsk_constellation(4, 0.8, 0.1)
+    stats = mrc_statistics(sys, default_channel)
+    points = np.asarray(c.points, dtype=complex)
+    n, spec = 10_000, RngSpec(43, stream=L)
+    total = total_sq = 0.0
+    for index, start in enumerate(range(0, n, link_sim._SIM_CHUNK)):
+        block = simulate_block(sys, default_channel, c, min(link_sim._SIM_CHUNK, n - start),
+                               spec.generator(index))
+        y = sic_mrc_receiver(block, sys, default_channel)
+        v = _log_ratio_bits(y.real, y.imag, block.bd_symbol_indices, points, stats.gain,
+                            stats.noise_var)
+        total += float(v.sum())
+        total_sq += float((v * v).sum())
+    mean = total / n
+    se = math.sqrt(max(total_sq - n * mean * mean, 0.0) / (n - 1) / n)
+    est = empirical_bd_mi(sys, default_channel, c, n, spec)
+    assert (est.value_bits, est.std_error_bits) == (mean, se)
 
 
 class TestSicMrcReceiver:
