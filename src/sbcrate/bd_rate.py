@@ -153,21 +153,21 @@ class _Scratch:
         return buf[:n]
 
 
-def _log_ratio_bits(yr: np.ndarray, yi: np.ndarray, conditioned: int | np.ndarray,
+def _log_ratio_bits(yr: np.ndarray, yi: np.ndarray, conditioned: np.ndarray,
                     points: np.ndarray, gain: float, noise_var: float,
                     out: np.ndarray | None = None,
                     scratch: _Scratch | None = None) -> np.ndarray:
     """Per-observation log2[p(y | Gamma_m) / p(y)] for observations y = yr + j yi.
 
-    `conditioned` is the transmitted symbol index, one for all observations
-    or one per observation.  Differences of the Gaussian exponents are taken
-    against the transmitted symbol and reduced with max-subtraction, so gains
-    up to ~1e8 stay inside the exponential range.  The |y|^2 term cancels in
-    the difference and is never formed.  Observations are taken in blocks of
-    about `_KERNEL_BLOCK` matrix entries; each column is reduced on its own,
-    row by row, so neither the block size nor a split of the observations
-    over several calls changes a bit of the result.  The values go to `out`,
-    which may be `yr` itself; the work buffers come from `scratch`.
+    `conditioned` holds the transmitted symbol index of each observation.
+    Differences of the Gaussian exponents are taken against the transmitted
+    symbol and reduced with max-subtraction, so gains up to ~1e8 stay inside
+    the exponential range.  The |y|^2 term cancels in the difference and is
+    never formed.  Observations are taken in blocks of about `_KERNEL_BLOCK`
+    matrix entries; each column is reduced on its own, row by row, so neither
+    the block size nor a split of the observations over several calls changes
+    a bit of the result.  The values go to `out`, which may be `yr` itself;
+    the work buffers come from `scratch`.
     """
     n = len(yr)
     if out is None:
@@ -197,10 +197,7 @@ def _log_ratio_bits(yr: np.ndarray, yi: np.ndarray, conditioned: int | np.ndarra
         u += np.multiply(si, yi[lo:lo + k], out=t)
         u -= energy
         u /= noise_var
-        if np.ndim(conditioned) == 0:
-            u -= u[conditioned].copy()
-        else:
-            u -= u[conditioned[lo:lo + k], cols[:k]]
+        u -= u[conditioned[lo:lo + k], cols[:k]]
         umax = np.maximum(u.max(axis=0), 0.0)
         u -= umax
         np.exp(u, out=u)

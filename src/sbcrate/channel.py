@@ -114,29 +114,16 @@ class ChannelTriple:
 
     @property
     def theta0(self) -> float:
-        return composite_phase(self)
+        """Composite channel phase arg(h2) + arg(h3) - arg(h1), reduced to [0, 2pi).
 
-
-def composite_phase(ch: ChannelTriple) -> float:
-    """Composite channel phase arg(h2) + arg(h3) - arg(h1), reduced to [0, 2pi).
-
-    All downstream uses sit inside cos(.) or modular sets, so the canonical
-    representative is harmless and keeps one value per physical channel.
-    """
-    if ch.a1 == 0.0 or ch.a2 == 0.0 or ch.a3 == 0.0:
-        raise ValueError("degenerate channel: all of |h1|, |h2|, |h3| must be nonzero "
-                         "for the composite phase to be defined")
-    return _wrap_phase(cmath.phase(ch.h2) + cmath.phase(ch.h3) - cmath.phase(ch.h1), TWO_PI)
-
-
-def channel_from_path_loss(model: PathLossModel, l1: complex, l2: complex,
-                           l3: complex) -> ChannelTriple:
-    """Build the channel triple h_i = sqrt(mu_i) * l_i from fading samples."""
-    return ChannelTriple(
-        h1=make_channel(path_loss(model, 1), l1),
-        h2=make_channel(path_loss(model, 2), l2),
-        h3=make_channel(path_loss(model, 3), l3),
-    )
+        All downstream uses sit inside cos(.) or modular sets, so the canonical
+        representative is harmless and keeps one value per physical channel.
+        """
+        if self.a1 == 0.0 or self.a2 == 0.0 or self.a3 == 0.0:
+            raise ValueError("degenerate channel: all of |h1|, |h2|, |h3| must be nonzero "
+                             "for the composite phase to be defined")
+        return _wrap_phase(cmath.phase(self.h2) + cmath.phase(self.h3) - cmath.phase(self.h1),
+                           TWO_PI)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .constellation import equal_power_psk_amplitude, mask_points, mpsk_points
 from .phase_opt import optimal_phase, phase_period
 from .pt_rate import (_rate_bits, mask_rate_curve, max_pt_rate_ask, max_pt_rate_psk,
                       mpsk_rate_curve, psk_optimal_offset, pt_rate_finite, pt_rate_no_bd,
-                      pt_rate_psk_infinite, rate_gain)
+                      pt_rate_psk_infinite)
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_hash
 
 #: Equal-power ring amplitude in the infinite-order limit of the amplitude grid.
@@ -46,12 +46,12 @@ def _meta(scn: Scenario, command: str) -> list[str]:
 def cmd_rate(scn: Scenario, args) -> list[str]:
     sy, ch = scn.system, scn.channel()
     c = scn.build_constellation()
-    report = rate_gain(sy, ch, c)
+    with_bd, without = pt_rate_finite(sy, ch, c), pt_rate_no_bd(sy, ch)
     bd = bd_rate(sy, ch, c)
     lines = _meta(scn, "rate")
     lines.append("pt_rate_bits,no_bd_rate_bits,gain_bits,bd_rate_bits")
     lines.append(",".join(_fmt(v) for v in
-                          (report.pt_rate, report.no_bd_rate, report.gain, bd.value_bits)))
+                          (with_bd, without, with_bd - without, bd.value_bits)))
     return lines
 
 

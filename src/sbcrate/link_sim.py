@@ -42,20 +42,6 @@ class RngSpec:
                                    spawn_key=(self.stream, *subkey)))
 
 
-def cscg_samples(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Unit-variance circularly symmetric complex Gaussian samples."""
-    z = np.empty(n, dtype=complex)
-    _fill_cscg(rng, z, np.empty(max(min(n, _KERNEL_BLOCK), 1)))
-    return z
-
-
-def _fill_cscg(rng: np.random.Generator, z: np.ndarray, buf: np.ndarray) -> None:
-    """z = unit-variance CSCG samples, all real parts drawn first, `buf` at a time."""
-    for part in (z.real, z.imag):
-        for span, x in _normal_blocks(rng, len(z), buf, math.sqrt(0.5)):
-            part[span] = x
-
-
 def _warn_low_spread(L: int) -> None:
     if L < LOW_SPREAD_WARNING:
         warnings.warn(f"spreading factor L={L} is small; the combining model "
@@ -82,15 +68,14 @@ class SimulatedBlock:
 
 
 def simulate_block(sys: SystemParams, ch: ChannelTriple, c: Constellation,
-                   n_bd_symbols: int, rng: RngSpec | np.random.Generator,
-                   normalize_pt_power: bool = True) -> SimulatedBlock:
+                   n_bd_symbols: int, rng: RngSpec | np.random.Generator) -> SimulatedBlock:
     """Simulate n_bd_symbols device symbols through the two-path channel.
 
     y(n) = sqrt(P) (h1 + h2 h3 Gamma_m) s(n) + w(n) with w ~ CN(0, sigma^2).
-    With `normalize_pt_power` each L-sample span of s is scaled to exact unit
-    average power, which realizes the analytical combining statistic exactly
-    instead of up to an O(1/sqrt(L)) energy fluctuation; phases and relative
-    amplitudes of s stay Gaussian.
+    Each L-sample span of s is scaled to exact unit average power, which
+    realizes the analytical combining statistic exactly instead of up to an
+    O(1/sqrt(L)) energy fluctuation; phases and relative amplitudes of s stay
+    Gaussian.
     """
     if n_bd_symbols < 1:
         raise ValueError(f"n_bd_symbols must be >= 1, got {n_bd_symbols!r}")
@@ -103,8 +88,7 @@ def simulate_block(sys: SystemParams, ch: ChannelTriple, c: Constellation,
     def take(rows: slice, y: np.ndarray) -> None:
         rx[rows] = y
 
-    idx = _chain(sys, ch, c, n_bd_symbols, gen, normalize_pt_power, s, rx.real, _Scratch(),
-                 take)
+    idx = _chain(sys, ch, c, n_bd_symbols, gen, s, rx.real, _Scratch(), take)
     return SimulatedBlock(pt_symbols=s, bd_symbol_indices=idx, received=received)
 
 
@@ -115,8 +99,7 @@ def _row_blocks(n_bd: int, L: int) -> list[slice]:
 
 
 def _chain(sys: SystemParams, ch: ChannelTriple, c: Constellation, n_bd: int,
-           gen: np.random.Generator, normalize_pt_power: bool, s: np.ndarray,
-           y_real: np.ndarray, scratch: _Scratch,
+           gen: np.random.Generator, s: np.ndarray, y_real: np.ndarray, scratch: _Scratch,
            take: Callable[[slice, np.ndarray], None]) -> np.ndarray:
     """The chain of `simulate_block` one row block at a time; returns the symbol indices.
 
@@ -131,17 +114,18 @@ def _chain(sys: SystemParams, ch: ChannelTriple, c: Constellation, n_bd: int,
     L = sys.spread
     blocks = _row_blocks(n_bd, L)
     buf = scratch.array("draws", (blocks[0].stop - blocks[0].start) * L)
-    _fill_cscg(gen, s, buf)
+    for part in (s.real, s.imag):
+        for span, x in _normal_blocks(gen, len(s), buf, math.sqrt(0.5)):
+            part[span] = x
     spans = s.reshape(n_bd, L)
-    if normalize_pt_power:
-        # Scaling the float view by 1/energy gives the bits of complex / real.
-        parts = s.view(float).reshape(n_bd, 2 * L)
-        energy = scratch.array("energy", len(buf))
-        for rows in blocks:
-            span = spans[rows]
-            e = np.abs(span, out=energy[:span.size].reshape(span.shape))
-            np.square(e, out=e)
-            parts[rows] *= 1.0 / np.sqrt(np.mean(e, axis=1, keepdims=True))
+    # Scaling the float view by 1/energy gives the bits of complex / real.
+    parts = s.view(float).reshape(n_bd, 2 * L)
+    energy = scratch.array("energy", len(buf))
+    for rows in blocks:
+        span = spans[rows]
+        e = np.abs(span, out=energy[:span.size].reshape(span.shape))
+        np.square(e, out=e)
+        parts[rows] *= 1.0 / np.sqrt(np.mean(e, axis=1, keepdims=True))
     idx = gen.integers(0, c.order, size=n_bd)
     gamma = np.asarray(c.points, dtype=complex)[idx]
     h_eq = ch.h1 + ch.h2 * ch.h3 * gamma          # per device symbol
@@ -178,29 +162,27 @@ def _combine(y: np.ndarray, s: np.ndarray, residual: np.ndarray, sys: SystemPara
     return out
 
 
-def sic_mrc_receiver(block: SimulatedBlock, sys: SystemParams, ch: ChannelTriple,
-                     residual: np.ndarray | None = None) -> np.ndarray:
+def sic_mrc_receiver(block: SimulatedBlock, sys: SystemParams, ch: ChannelTriple) -> np.ndarray:
     """Cancel the direct path, then combine each L-span against the residual.
 
     residual(n) = y(n) - sqrt(P) h1 s(n);
     out(m) = sum_n (sqrt(P) h2 h3 s(n))* residual(n) / sigma^2 over span m.
     Assumes the primary symbols and both cascaded coefficients are known
-    exactly, as in the analytical model.  Returns `out`; the residual goes to
-    `residual` if given, a complex buffer the length of the block that may be
-    `block.received` itself.  Works on about `_KERNEL_BLOCK` samples at a
-    time, so no temporary spans the whole block; each span is summed on its
-    own, so the outputs do not depend on how many spans a step takes.
+    exactly, as in the analytical model.  Works on about `_KERNEL_BLOCK`
+    samples at a time, the residual included, so no temporary spans the whole
+    block; each span is summed on its own, so the outputs do not depend on
+    how many spans a step takes.
     """
     L = sys.spread
     n_bd = len(block.bd_symbol_indices)
-    if residual is None:
-        residual = np.empty(len(block.received), dtype=complex)
     s = block.pt_symbols.reshape(n_bd, L)
     y = block.received.reshape(n_bd, L)
-    res = residual.reshape(n_bd, L)
+    blocks = _row_blocks(n_bd, L)
+    residual = np.empty((blocks[0].stop - blocks[0].start) * L, dtype=complex)
     out = np.empty(n_bd, dtype=complex)
-    for rows in _row_blocks(n_bd, L):
-        out[rows] = _combine(y[rows], s[rows], res[rows], sys, ch)
+    for rows in blocks:
+        res = residual[:(rows.stop - rows.start) * L].reshape(-1, L)
+        out[rows] = _combine(y[rows], s[rows], res, sys, ch)
     return out
 
 
@@ -231,7 +213,7 @@ def empirical_bd_mi(sys: SystemParams, ch: ChannelTriple, c: Constellation,
             # The residual is not kept, so it overwrites the received samples.
             outputs[rows] = _combine(y, spans[rows], y, sys, ch)
 
-        idx = _chain(sys, ch, c, n, rng.generator(chunk_index), True, s,
+        idx = _chain(sys, ch, c, n, rng.generator(chunk_index), s,
                      scratch.array("y_real", n * L).reshape(n, L), scratch, take)
         return _log_ratio_bits(outputs.real, outputs.imag, idx, points, stats.gain,
                                stats.noise_var, out=scratch.array("values", n),

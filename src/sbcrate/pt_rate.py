@@ -12,23 +12,12 @@ on [0, 1], the phase-keyed rate averages a continuous uniform phase over
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import ChannelTriple, SystemParams
 from .constellation import Constellation, _check_order, mask_points, mpsk_points
 
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """The primary rate with and without device access, and their difference."""
-
-    pt_rate: float
-    no_bd_rate: float
-    gain: float
 
 
 def _rate_bits(rho: float, h1, h23, gammas) -> np.ndarray:
@@ -48,13 +37,6 @@ def pt_rate_no_bd(sys: SystemParams, ch: ChannelTriple) -> float:
 def pt_rate_finite(sys: SystemParams, ch: ChannelTriple, c: Constellation) -> float:
     """Exact finite-order rate (1/M) sum_m log2(1 + P|h1 + h2 h3 Gamma_m|^2 / sigma^2)."""
     return float(_rate_bits(sys.snr_scale, ch.h1, ch.h2 * ch.h3, np.asarray(c.points)))
-
-
-def rate_gain(sys: SystemParams, ch: ChannelTriple, c: Constellation) -> RateReport:
-    """Rate with device access minus the silent baseline, both included."""
-    with_bd = pt_rate_finite(sys, ch, c)
-    without = pt_rate_no_bd(sys, ch)
-    return RateReport(pt_rate=with_bd, no_bd_rate=without, gain=with_bd - without)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 import pytest
 
-from sbcrate.channel import ChannelTriple, PathLossModel, SystemParams, channel_from_path_loss
+from sbcrate.channel import ChannelTriple, PathLossModel, SystemParams
+from sbcrate.scenario import load_scenario
 
 # Fixed small-scale fading samples of the default operating point.
 L1 = 0.3421 - 0.4988j
@@ -23,8 +24,8 @@ def default_model() -> PathLossModel:
 
 
 @pytest.fixture
-def default_channel(default_model) -> ChannelTriple:
-    return channel_from_path_loss(default_model, L1, L2, L3)
+def default_channel() -> ChannelTriple:
+    return load_scenario(None).channel()
 
 
 @pytest.fixture

@@ -207,12 +207,13 @@ class TestLogRatioKernel:
     @pytest.mark.parametrize("M", [2, 8, 16, 64])
     @pytest.mark.parametrize("per_observation", [False, True], ids=["int", "array"])
     def test_blocks_match_one_whole_array_call(self, M, per_observation):
-        # Two full blocks and a partial one.
+        # Two full blocks and a partial one.  "int": one symbol index for every
+        # observation, as the ring rule conditions each node on Gamma_0.
         n = 2 * (_KERNEL_BLOCK // M) + 77
         rng = np.random.default_rng(M)
         points = np.asarray(mpsk_constellation(M, 0.9, 0.01).points, dtype=complex)
         g = 7.0
-        m = rng.integers(0, M, size=n) if per_observation else M // 2
+        m = rng.integers(0, M, size=n) if per_observation else np.full(n, M // 2)
         y = g * points[m] + math.sqrt(g / 2) * (rng.standard_normal(n)
                                                 + 1j * rng.standard_normal(n))
         got = _log_ratio_bits(y.real, y.imag, m, points, g, g)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbcrate.channel import (ChannelTriple, PathLossModel, SystemParams, composite_phase,
-                             channel_from_path_loss, make_channel, path_loss)
+from sbcrate.channel import ChannelTriple, PathLossModel, SystemParams, make_channel, path_loss
+from sbcrate.scenario import load_scenario
 
 from .conftest import L1, L2, L3, channel_from_polar
 
@@ -96,33 +96,33 @@ class TestMakeChannel:
 
 class TestCompositePhase:
     def test_all_zero_phases(self):
-        assert composite_phase(channel_from_polar(1, 1, 1)) == 0.0
+        assert channel_from_polar(1, 1, 1).theta0 == 0.0
 
     def test_wraps_past_two_pi(self):
         ch = channel_from_polar(1, 1, 1, t1=0.0, t2=math.pi, t3=math.pi)
-        assert composite_phase(ch) == pytest.approx(0.0, abs=1e-12)
+        assert ch.theta0 == pytest.approx(0.0, abs=1e-12)
 
     def test_default_samples_match_argument_arithmetic(self, default_channel):
         # Independent oracle: path-loss factors are positive reals, so the
         # composite phase comes straight from the fading arguments.
         expected = (math.atan2(L2.imag, L2.real) + math.atan2(L3.imag, L3.real)
                     - math.atan2(L1.imag, L1.real)) % TWO_PI
-        assert composite_phase(default_channel) == pytest.approx(expected, abs=1e-12)
+        assert default_channel.theta0 == pytest.approx(expected, abs=1e-12)
 
     def test_degenerate_channel_rejected(self):
         ch = ChannelTriple(h1=1.0 + 0j, h2=0j, h3=1.0 + 0j)
         with pytest.raises(ValueError, match="degenerate"):
-            composite_phase(ch)
+            ch.theta0
 
     @given(t1=st.floats(-10, 10), t2=st.floats(-10, 10), t3=st.floats(-10, 10),
            scale=st.floats(1e-6, 1e6))
     @settings(max_examples=100)
     def test_range_and_scale_invariance(self, t1, t2, t3, scale):
         ch = channel_from_polar(1.0, 2.0, 0.5, t1, t2, t3)
-        phase = composite_phase(ch)
+        phase = ch.theta0
         assert 0.0 <= phase < TWO_PI
         scaled = ChannelTriple(h1=ch.h1 * scale, h2=ch.h2 * scale, h3=ch.h3 * scale)
-        assert composite_phase(scaled) == pytest.approx(phase, abs=1e-9)
+        assert scaled.theta0 == pytest.approx(phase, abs=1e-9)
 
 
 class TestSystemParams:
@@ -143,7 +143,8 @@ class TestSystemParams:
 
 
 def test_channel_from_path_loss_composition(default_model):
-    ch = channel_from_path_loss(default_model, L1, L2, L3)
+    # The default scenario composes h_i = sqrt(mu_i) l_i from the fixture's model and samples.
+    ch = load_scenario(None).channel()
     assert ch.h1 == make_channel(path_loss(default_model, 1), L1)
     assert ch.h2 == make_channel(path_loss(default_model, 2), L2)
     assert ch.h3 == make_channel(path_loss(default_model, 3), L3)

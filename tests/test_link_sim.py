@@ -9,23 +9,22 @@ from sbcrate.bd_rate import _KERNEL_BLOCK, _log_ratio_bits, mi_quadrature, mrc_s
 from sbcrate.channel import ChannelTriple, SystemParams
 from sbcrate.constellation import (explicit_constellation, mask_constellation,
                                    mpsk_constellation)
-from sbcrate.link_sim import (RngSpec, SimulatedBlock, cscg_samples, empirical_bd_mi,
-                              sic_mrc_receiver, simulate_block)
+from sbcrate.link_sim import (RngSpec, SimulatedBlock, empirical_bd_mi, sic_mrc_receiver,
+                              simulate_block)
 
 from .conftest import channel_from_polar
 
 
-def chain_oracle(sys, ch, c, n_bd, gen, normalize_pt_power):
-    """The simulated chain in whole-array expressions: (s, indices, y, residual, outputs).
+def chain_oracle(sys, ch, c, n_bd, gen):
+    """The simulated chain in whole-array expressions: (s, indices, y, outputs).
 
     Draws in the simulator's order: primary symbols, device symbols, noise.
     """
     L = sys.spread
     s = math.sqrt(0.5) * (gen.standard_normal(n_bd * L) + 1j * gen.standard_normal(n_bd * L))
-    if normalize_pt_power:
-        spans = s.reshape(n_bd, L)
-        energy = np.sqrt(np.mean(np.abs(spans) ** 2, axis=1, keepdims=True))
-        s = (spans / energy).reshape(n_bd * L)
+    spans = s.reshape(n_bd, L)
+    energy = np.sqrt(np.mean(np.abs(spans) ** 2, axis=1, keepdims=True))
+    s = (spans / energy).reshape(n_bd * L)
     idx = gen.integers(0, c.order, size=n_bd)
     h_eq = ch.h1 + ch.h2 * ch.h3 * np.asarray(c.points, dtype=complex)[idx]
     noise = math.sqrt(sys.noise_w) * (math.sqrt(0.5) * (gen.standard_normal(n_bd * L)
@@ -34,7 +33,7 @@ def chain_oracle(sys, ch, c, n_bd, gen, normalize_pt_power):
     residual = y - math.sqrt(sys.power_w) * ch.h1 * s
     weights = (math.sqrt(sys.power_w) * ch.h2 * ch.h3 * s).conj()
     out = (weights * residual).reshape(n_bd, L).sum(axis=1) / sys.noise_w
-    return s, idx, y, residual, out
+    return s, idx, y, out
 
 
 class TestSimulateBlock:
@@ -85,24 +84,21 @@ class TestSimulateBlock:
         assert np.allclose(power, 1.0, rtol=1e-12)
 
 
-def assert_chain_matches_oracle(ch, L: int, n_bd: int, normalize: bool) -> None:
+def assert_chain_matches_oracle(ch, L: int, n_bd: int) -> None:
     # Neither power nor noise a power of ten, so no scaling is exact by accident.
     sys = SystemParams(power_w=7.3e-4, noise_w=2.9e-13, spread=L)
     c = mpsk_constellation(4, 0.8, 0.1)
-    block = simulate_block(sys, ch, c, n_bd, RngSpec(41, stream=L),
-                           normalize_pt_power=normalize)
-    residual = np.empty(len(block.received), dtype=complex)
-    outputs = sic_mrc_receiver(block, sys, ch, residual)
-    want = chain_oracle(sys, ch, c, n_bd, RngSpec(41, stream=L).generator(), normalize)
-    got = (block.pt_symbols, block.bd_symbol_indices, block.received, residual, outputs)
-    for name, a, b in zip(("s", "indices", "received", "residual", "outputs"), got, want):
+    block = simulate_block(sys, ch, c, n_bd, RngSpec(41, stream=L))
+    outputs = sic_mrc_receiver(block, sys, ch)
+    want = chain_oracle(sys, ch, c, n_bd, RngSpec(41, stream=L).generator())
+    got = (block.pt_symbols, block.bd_symbol_indices, block.received, outputs)
+    for name, a, b in zip(("s", "indices", "received", "outputs"), got, want):
         assert np.array_equal(a, b), name
 
 
 @pytest.mark.parametrize("L", [16, 64, 128])
-@pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
-def test_chain_matches_whole_array_oracle(default_channel, L, normalize):
-    assert_chain_matches_oracle(default_channel, L, 300, normalize)
+def test_chain_matches_whole_array_oracle(default_channel, L):
+    assert_chain_matches_oracle(default_channel, L, 300)
 
 
 @pytest.mark.parametrize("L, n_bd", [
@@ -110,9 +106,8 @@ def test_chain_matches_whole_array_oracle(default_channel, L, normalize):
     (128, 2 * 512 + 76),       # blocks of 512 rows, the last one short
     (_KERNEL_BLOCK + 3, 3),    # one row per block
 ])
-@pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
-def test_chain_in_row_blocks_matches_whole_array_oracle(default_channel, L, n_bd, normalize):
-    assert_chain_matches_oracle(default_channel, L, n_bd, normalize)
+def test_chain_in_row_blocks_matches_whole_array_oracle(default_channel, L, n_bd):
+    assert_chain_matches_oracle(default_channel, L, n_bd)
 
 
 @pytest.mark.parametrize("L, kernel_block",
@@ -154,19 +149,8 @@ class TestSicMrcReceiver:
         g = mrc_statistics(sys, ch).gain
         want = g * np.asarray(c.points)[block.bd_symbol_indices]
         assert np.allclose(out, want, rtol=1e-10)
-        # Without a residual buffer the block is left as drawn.
+        # The block is left as drawn.
         assert np.array_equal(block.received, received)
-
-    def test_residual_may_overwrite_the_received_samples(self, default_channel):
-        # The streaming estimator passes `block.received` as the buffer.
-        sys = SystemParams(power_w=7.3e-4, noise_w=2.9e-13, spread=16)
-        c = mpsk_constellation(4, 0.8, 0.1)
-        block = simulate_block(sys, default_channel, c, 40, RngSpec(8))
-        residual = np.empty(len(block.received), dtype=complex)
-        out = sic_mrc_receiver(block, sys, default_channel, residual)
-        in_place = sic_mrc_receiver(block, sys, default_channel, block.received)
-        assert np.array_equal(in_place, out)
-        assert np.array_equal(block.received, residual)
 
     def test_real_valued_block_gives_a_complex_residual(self, default_channel):
         # A caller may build a block from real arrays; the residual and the
@@ -176,13 +160,9 @@ class TestSicMrcReceiver:
         s, y = gen.standard_normal(64), 1e-3 * gen.standard_normal(64)
         block = SimulatedBlock(pt_symbols=s, bd_symbol_indices=np.zeros(4, dtype=int),
                                received=y)
-        buffer = np.empty(64, dtype=complex)
-        out = sic_mrc_receiver(block, sys, default_channel, buffer)
+        out = sic_mrc_receiver(block, sys, default_channel)
         residual = y - math.sqrt(sys.power_w) * default_channel.h1 * s
         weights = (math.sqrt(sys.power_w) * default_channel.h2 * default_channel.h3 * s).conj()
-        # Its own residual buffer is complex too, or these outputs would differ.
-        assert np.array_equal(sic_mrc_receiver(block, sys, default_channel), out)
-        assert np.array_equal(buffer, residual)
         assert np.array_equal(out, (weights * residual).reshape(4, 16).sum(axis=1) / sys.noise_w)
 
     def test_residual_has_no_direct_component(self):
@@ -192,10 +172,8 @@ class TestSicMrcReceiver:
         sys = SystemParams(power_w=1.0, noise_w=0.01, spread=256)
         c = mpsk_constellation(2, 0.9, 0.1)
         block = simulate_block(sys, ch, c, 64, RngSpec(9))
-        residual = np.empty(len(block.received), dtype=complex)
-        sic_mrc_receiver(block, sys, ch, residual)
         s = block.pt_symbols.reshape(64, sys.spread)
-        res = residual.reshape(64, sys.spread)
+        res = block.received.reshape(64, sys.spread) - math.sqrt(sys.power_w) * ch.h1 * s
         per_symbol = (res * s.conj()).sum(axis=1) / (np.abs(s) ** 2).sum(axis=1)
         gamma = np.asarray(c.points)[block.bd_symbol_indices]
         backscatter = math.sqrt(sys.power_w) * ch.h2 * ch.h3 * gamma
@@ -274,10 +252,3 @@ class TestEmpiricalMi:
         a = empirical_bd_mi(sys, ch, c, 10_000, RngSpec(123))
         b = empirical_bd_mi(sys, ch, c, 10_000, RngSpec(123))
         assert a == b
-
-
-def test_cscg_samples_have_unit_variance():
-    rng = np.random.default_rng(8)
-    z = cscg_samples(rng, 200_000)
-    assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.01
-    assert abs(np.mean(z)) < 0.01

@@ -11,7 +11,7 @@ from sbcrate.constellation import (explicit_constellation, mask_constellation,
 from sbcrate.phase_opt import optimal_phase
 from sbcrate.pt_rate import (mask_rate_curve, max_pt_rate_ask, max_pt_rate_psk,
                              mpsk_rate_curve, pt_rate_ask_infinite, pt_rate_finite,
-                             pt_rate_no_bd, pt_rate_psk_infinite, rate_gain)
+                             pt_rate_no_bd, pt_rate_psk_infinite)
 
 from .conftest import channel_from_polar
 
@@ -112,20 +112,20 @@ class TestFiniteRate:
             assert abs(direct - expanded) <= 1e-12 * max(abs(direct), 1.0)
 
     def test_rate_gain_packaging(self, default_system, default_channel):
-        c = mask_constellation(2, 0.0)
-        report = rate_gain(default_system, default_channel, c)
-        assert report.gain == pytest.approx(report.pt_rate - report.no_bd_rate, abs=1e-15)
-        zero = rate_gain(default_system, default_channel, explicit_constellation([0j, 0j]))
-        assert zero.gain == pytest.approx(0.0, abs=1e-12)
+        # The `rate` command's gain is pt_rate_finite - pt_rate_no_bd; a
+        # device that reflects nothing gains nothing.
+        silent = pt_rate_finite(default_system, default_channel, explicit_constellation([0j, 0j]))
+        assert silent == pytest.approx(pt_rate_no_bd(default_system, default_channel), abs=1e-12)
 
     def test_aligned_binary_gain_signs(self):
         # Destructive alignment with a dominant direct link loses rate;
         # constructive alignment always gains.
         ch = channel_from_polar(2.0, 1.0, 1.0)  # |h1| = 2 |h2||h3|, theta0 = 0
         sys = SystemParams(power_w=1.0, noise_w=0.1, spread=1)
+        no_bd = pt_rate_no_bd(sys, ch)
         for m in (2, 4, 8):
-            assert rate_gain(sys, ch, mask_constellation(m, math.pi)).gain < 0
-            assert rate_gain(sys, ch, mask_constellation(m, 0.0)).gain > 0
+            assert pt_rate_finite(sys, ch, mask_constellation(m, math.pi)) < no_bd
+            assert pt_rate_finite(sys, ch, mask_constellation(m, 0.0)) > no_bd
 
 
 class TestAskInfinite:

@@ -1,4 +1,4 @@
-"""Peak memory of one sampler worker.
+"""Peak memory of one sampler worker, and of the receiver on one block.
 
 numpy reports its heap buffers to tracemalloc; a worker's scratch buffers
 are anonymous memory maps, which tracemalloc does not see, so their sizes
@@ -17,7 +17,7 @@ import pytest
 from sbcrate.bd_rate import MrcStatistics, mi_monte_carlo
 from sbcrate.channel import SystemParams
 from sbcrate.constellation import mpsk_constellation
-from sbcrate.link_sim import RngSpec, empirical_bd_mi
+from sbcrate.link_sim import RngSpec, empirical_bd_mi, sic_mrc_receiver, simulate_block
 
 MiB = 2**20
 
@@ -65,3 +65,14 @@ def test_monte_carlo_worker_holds_indices_and_real_parts(peak_bytes):
     c = mpsk_constellation(8, 0.8, 0.1)
     peak = peak_bytes(lambda: mi_monte_carlo(c, MrcStatistics(60.0, 60.0), 2**20, 3))
     assert peak < 12 * MiB
+
+
+def test_receiver_works_through_one_block_sized_residual(peak_bytes, default_channel):
+    # 8192 device symbols at L = 128: the block holds 16 MiB of received
+    # samples, and a residual for the whole block took 17.1 MiB.  Combined one
+    # row block at a time, the temporaries are about 1 MiB each.
+    sys = SystemParams(power_w=5e-4, noise_w=1e-13, spread=128)
+    c = mpsk_constellation(4, 0.8, 0.1)
+    block = simulate_block(sys, default_channel, c, 8192, RngSpec(2))
+    peak = peak_bytes(lambda: sic_mrc_receiver(block, sys, default_channel))
+    assert peak < 4 * MiB

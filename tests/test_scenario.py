@@ -216,9 +216,12 @@ class TestRoundTrip:
 
 class TestLoad:
     def test_shipped_default_file_matches_builtin(self, default_parsed):
+        # The default scenario exists twice, as scenarios/default.json and as
+        # DEFAULT_SCENARIO; both must be the same scenario, down to its hash.
         from pathlib import Path
-        shipped = Path(__file__).resolve().parents[1] / "scenarios" / "default.json"
-        assert load_scenario(shipped) == default_parsed
+        shipped = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "default.json")
+        assert shipped == default_parsed == load_scenario(None)
+        assert scenario_hash(shipped) == scenario_hash(load_scenario(None)) == "c00c3691acf0"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
