@@ -50,6 +50,9 @@ _LN2 = math.log(2.0)
 
 DEFAULT_MI_TOL = 1e-8
 
+#: Fewest samples (or simulated device symbols) a sampled estimate takes.
+MIN_SAMPLES = 10_000
+
 #: Step of the first trapezoidal level; each further level halves it.
 _FIRST_STEP = 0.5
 #: Levels, the first included, before the quadrature gives up.
@@ -399,8 +402,8 @@ def mi_monte_carlo(c: Constellation, stats: MrcStatistics, samples: int,
     substreams keyed by (seed, chunk index), so the result is bit-identical
     for a given seed however many threads share the chunks.
     """
-    if samples < 10_000:
-        raise ValueError(f"samples must be >= 10000, got {samples!r}")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples!r}")
     if stats.gain == 0.0:
         return MiEstimate(value_bits=0.0, std_error_bits=0.0, method="monte_carlo")
     if stats.noise_var <= 0.0:
@@ -428,7 +431,6 @@ def mi_monte_carlo(c: Constellation, stats: MrcStatistics, samples: int,
     return _sample_mean(samples, _MC_CHUNK, values)
 
 
-def bd_rate(sys: SystemParams, ch: ChannelTriple, c: Constellation,
-            tol: float = DEFAULT_MI_TOL) -> MiEstimate:
+def bd_rate(sys: SystemParams, ch: ChannelTriple, c: Constellation) -> MiEstimate:
     """Device rate for one scenario: combiner statistics plus quadrature."""
-    return mi_quadrature(c, mrc_statistics(sys, ch), tol=tol)
+    return mi_quadrature(c, mrc_statistics(sys, ch))

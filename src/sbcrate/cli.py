@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bd_rate import PrecisionError, bd_rate, mi_monte_carlo, mrc_statistics, mi_quadrature
+from .bd_rate import (MIN_SAMPLES, PrecisionError, bd_rate, mi_monte_carlo, mrc_statistics,
+                      mi_quadrature)
 from .constellation import equal_power_psk_amplitude, mask_points, mpsk_points
 from .phase_opt import optimal_phase, phase_period
 from .pt_rate import (_rate_bits, mask_rate_curve, max_pt_rate_ask, max_pt_rate_psk,
@@ -270,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         parsers[name].add_argument("--grid", type=_at_least(1), help="sweep step count override")
     mi = parsers["mi"]
     mi.add_argument("--method", choices=("quadrature", "monte-carlo"), default="quadrature")
-    mi.add_argument("--samples", type=_at_least(10_000),
+    mi.add_argument("--samples", type=_at_least(MIN_SAMPLES),
                     help=f"Monte Carlo sample count (default {_MC_SAMPLES})")
     mi.add_argument("--seed", type=_at_least(0), help="Monte Carlo seed (default: the scenario's)")
     return parser

@@ -4,8 +4,9 @@ Primary symbols are circularly symmetric complex Gaussian; each device
 symbol holds its reflection coefficient over L primary symbols.  The
 receiver removes the (perfectly known) direct-path contribution and applies
 maximal ratio combining to the residual, reproducing the analytical
-combining statistic used by the rate analysis.  Used to validate the
-combiner moments and the device rate empirically.
+combining statistic used by the rate analysis.  `combiner_outputs` returns
+that statistic for each simulated device symbol, and `empirical_bd_mi`
+estimates the device rate from it; both run the same chain, `_chain`.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .bd_rate import (_KERNEL_BLOCK, MiEstimate, _log_ratio_bits, _normal_blocks, _sample_mean,
-                      _Scratch, check_gain, mrc_statistics)
+from .bd_rate import (_KERNEL_BLOCK, MIN_SAMPLES, MiEstimate, _log_ratio_bits, _normal_blocks,
+                      _sample_mean, _Scratch, check_gain, mrc_statistics)
 from .channel import ChannelTriple, SystemParams
 from .constellation import Constellation
 
@@ -48,48 +48,20 @@ def _warn_low_spread(L: int) -> None:
                       f"assumes L >> 1", stacklevel=3)
 
 
-@dataclass(frozen=True)
-class SimulatedBlock:
-    """One simulated transmission block.
+def combiner_outputs(sys: SystemParams, ch: ChannelTriple, c: Constellation,
+                     n_bd_symbols: int,
+                     rng: RngSpec | np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate n_bd_symbols device symbols through the link and the receiver.
 
-    `bd_symbol_indices` are 0-based positions into the constellation, each
-    constant over its L-sample span of `pt_symbols`.
-    """
-
-    pt_symbols: np.ndarray
-    bd_symbol_indices: np.ndarray
-    received: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.pt_symbols) != len(self.received):
-            raise ValueError("pt_symbols and received must have equal length")
-        if len(self.pt_symbols) % len(self.bd_symbol_indices) != 0:
-            raise ValueError("pt_symbols length must be a multiple of the device symbol count")
-
-
-def simulate_block(sys: SystemParams, ch: ChannelTriple, c: Constellation,
-                   n_bd_symbols: int, rng: RngSpec | np.random.Generator) -> SimulatedBlock:
-    """Simulate n_bd_symbols device symbols through the two-path channel.
-
-    y(n) = sqrt(P) (h1 + h2 h3 Gamma_m) s(n) + w(n) with w ~ CN(0, sigma^2).
-    Each L-sample span of s is scaled to exact unit average power, which
-    realizes the analytical combining statistic exactly instead of up to an
-    O(1/sqrt(L)) energy fluctuation; phases and relative amplitudes of s stay
-    Gaussian.
+    Returns (indices, outputs): the 0-based constellation position of each
+    device symbol, and the combiner output for its L-sample span.  See
+    `_chain` for the channel and the receiver.
     """
     if n_bd_symbols < 1:
         raise ValueError(f"n_bd_symbols must be >= 1, got {n_bd_symbols!r}")
     _warn_low_spread(sys.spread)
     gen = rng.generator() if isinstance(rng, RngSpec) else rng
-    s = np.empty(n_bd_symbols * sys.spread, dtype=complex)
-    received = np.empty_like(s)
-    rx = received.reshape(n_bd_symbols, sys.spread)
-
-    def take(rows: slice, y: np.ndarray) -> None:
-        rx[rows] = y
-
-    idx = _chain(sys, ch, c, n_bd_symbols, gen, s, rx.real, _Scratch(), take)
-    return SimulatedBlock(pt_symbols=s, bd_symbol_indices=idx, received=received)
+    return _chain(sys, ch, c, n_bd_symbols, gen, _Scratch())
 
 
 def _row_blocks(n_bd: int, L: int) -> list[slice]:
@@ -99,20 +71,28 @@ def _row_blocks(n_bd: int, L: int) -> list[slice]:
 
 
 def _chain(sys: SystemParams, ch: ChannelTriple, c: Constellation, n_bd: int,
-           gen: np.random.Generator, s: np.ndarray, y_real: np.ndarray, scratch: _Scratch,
-           take: Callable[[slice, np.ndarray], None]) -> np.ndarray:
-    """The chain of `simulate_block` one row block at a time; returns the symbol indices.
+           gen: np.random.Generator, scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n_bd device symbols and their L-spans, receive and combine them.
 
-    Fills `s` (n_bd L complex) with the primary symbols and `y_real` (n_bd x L)
-    with the real parts of the received samples, then calls `take(rows, y)`
-    with the received samples of each row block, in a buffer reused for the
-    next block.  The draws keep the order of the whole-array chain: all real
-    then all imaginary parts of s, the device symbols, then all real and all
-    imaginary noise parts.  Every other operation acts on one sample or
+    y(n) = sqrt(P) (h1 + h2 h3 Gamma_m) s(n) + w(n) with w ~ CN(0, sigma^2).
+    Each L-sample span of s is scaled to exact unit average power, which
+    realizes the analytical combining statistic exactly instead of up to an
+    O(1/sqrt(L)) energy fluctuation; phases and relative amplitudes of s stay
+    Gaussian.  Returns the symbol indices and the combiner outputs, the
+    latter in `scratch`.
+
+    Only the primary symbols and the real parts of the received samples span
+    all n_bd L samples; the received samples are formed and combined one row
+    block at a time.  The draws keep the order of the whole-array chain: all
+    real then all imaginary parts of s, the device symbols, then all real and
+    all imaginary noise parts.  Every other operation acts on one sample or
     reduces one row, so the blocks do not change a bit of the result.
     """
     L = sys.spread
     blocks = _row_blocks(n_bd, L)
+    s = scratch.array("s", n_bd * L, complex)
+    y_real = scratch.array("y_real", n_bd * L).reshape(n_bd, L)
+    outputs = scratch.array("outputs", n_bd, complex)
     buf = scratch.array("draws", (blocks[0].stop - blocks[0].start) * L)
     for part in (s.real, s.imag):
         for span, x in _normal_blocks(gen, len(s), buf, math.sqrt(0.5)):
@@ -141,48 +121,24 @@ def _chain(sys: SystemParams, ch: ChannelTriple, c: Constellation, n_bd: int,
         yb = np.multiply(paths[rows], spans[rows], out=y[:len(x)].reshape(-1, L))
         yb.imag += x.reshape(-1, L)
         yb.real = y_real[rows]
-        take(rows, yb)
-    return idx
+        outputs[rows] = _combine(yb, spans[rows], sys, ch)
+    return idx, outputs
 
 
-def _combine(y: np.ndarray, s: np.ndarray, residual: np.ndarray, sys: SystemParams,
-             ch: ChannelTriple) -> np.ndarray:
-    """Cancel the direct path from rows y of L samples, then combine each row.
+def _combine(y: np.ndarray, s: np.ndarray, sys: SystemParams, ch: ChannelTriple) -> np.ndarray:
+    """Cancel the direct path from rows y of L samples in place, then combine each row.
 
-    residual = y - sqrt(P) h1 s goes to `residual`, which may be `y`; returns
-    sum over each row of (sqrt(P) h2 h3 s)* residual / sigma^2.
+    y becomes the residual y - sqrt(P) h1 s; returns the sum over each row of
+    (sqrt(P) h2 h3 s)* residual / sigma^2.  Assumes the primary symbols and
+    both cascaded coefficients are known exactly, as in the analytical model.
     """
     weights = np.multiply(math.sqrt(sys.power_w) * ch.h1, s)
-    np.subtract(y, weights, out=residual)
+    y -= weights
     np.multiply(math.sqrt(sys.power_w) * ch.h2 * ch.h3, s, out=weights)
     np.conjugate(weights, out=weights)
-    weights *= residual
+    weights *= y
     out = weights.sum(axis=1)
     out /= sys.noise_w
-    return out
-
-
-def sic_mrc_receiver(block: SimulatedBlock, sys: SystemParams, ch: ChannelTriple) -> np.ndarray:
-    """Cancel the direct path, then combine each L-span against the residual.
-
-    residual(n) = y(n) - sqrt(P) h1 s(n);
-    out(m) = sum_n (sqrt(P) h2 h3 s(n))* residual(n) / sigma^2 over span m.
-    Assumes the primary symbols and both cascaded coefficients are known
-    exactly, as in the analytical model.  Works on about `_KERNEL_BLOCK`
-    samples at a time, the residual included, so no temporary spans the whole
-    block; each span is summed on its own, so the outputs do not depend on
-    how many spans a step takes.
-    """
-    L = sys.spread
-    n_bd = len(block.bd_symbol_indices)
-    s = block.pt_symbols.reshape(n_bd, L)
-    y = block.received.reshape(n_bd, L)
-    blocks = _row_blocks(n_bd, L)
-    residual = np.empty((blocks[0].stop - blocks[0].start) * L, dtype=complex)
-    out = np.empty(n_bd, dtype=complex)
-    for rows in blocks:
-        res = residual[:(rows.stop - rows.start) * L].reshape(-1, L)
-        out[rows] = _combine(y[rows], s[rows], res, sys, ch)
     return out
 
 
@@ -192,29 +148,17 @@ def empirical_bd_mi(sys: SystemParams, ch: ChannelTriple, c: Constellation,
 
     Runs the full chain in chunks (one substream per chunk, so the estimate
     is independent of scheduling), feeds the (symbol, output) pairs into the
-    model log ratio, and reports the sample mean and standard error.  A
-    chunk keeps only its primary symbols and the real parts of its received
-    samples; each row block is combined as soon as it is complete.
+    model log ratio, and reports the sample mean and standard error.
     """
-    if n_bd_symbols < 10_000:
-        raise ValueError(f"n_bd_symbols must be >= 10000, got {n_bd_symbols!r}")
+    if n_bd_symbols < MIN_SAMPLES:
+        raise ValueError(f"n_bd_symbols must be >= {MIN_SAMPLES}, got {n_bd_symbols!r}")
     _warn_low_spread(sys.spread)
     stats = mrc_statistics(sys, ch)
     points = np.asarray(c.points, dtype=complex)
     check_gain(stats.gain, float(np.abs(points).max()))
-    L = sys.spread
 
     def values(chunk_index: int, n: int, scratch: _Scratch) -> np.ndarray:
-        s = scratch.array("s", n * L, complex)
-        spans = s.reshape(n, L)
-        outputs = scratch.array("outputs", n, complex)
-
-        def take(rows: slice, y: np.ndarray) -> None:
-            # The residual is not kept, so it overwrites the received samples.
-            outputs[rows] = _combine(y, spans[rows], y, sys, ch)
-
-        idx = _chain(sys, ch, c, n, rng.generator(chunk_index), s,
-                     scratch.array("y_real", n * L).reshape(n, L), scratch, take)
+        idx, outputs = _chain(sys, ch, c, n, rng.generator(chunk_index), scratch)
         return _log_ratio_bits(outputs.real, outputs.imag, idx, points, stats.gain,
                                stats.noise_var, out=scratch.array("values", n),
                                scratch=scratch)

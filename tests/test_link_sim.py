@@ -7,16 +7,14 @@ import pytest
 from sbcrate import link_sim
 from sbcrate.bd_rate import _KERNEL_BLOCK, _log_ratio_bits, mi_quadrature, mrc_statistics
 from sbcrate.channel import ChannelTriple, SystemParams
-from sbcrate.constellation import (explicit_constellation, mask_constellation,
-                                   mpsk_constellation)
-from sbcrate.link_sim import (RngSpec, SimulatedBlock, empirical_bd_mi, sic_mrc_receiver,
-                              simulate_block)
+from sbcrate.constellation import mask_constellation, mpsk_constellation
+from sbcrate.link_sim import RngSpec, combiner_outputs, empirical_bd_mi
 
 from .conftest import channel_from_polar
 
 
 def chain_oracle(sys, ch, c, n_bd, gen):
-    """The simulated chain in whole-array expressions: (s, indices, y, outputs).
+    """The simulated chain in whole-array expressions: (indices, outputs).
 
     Draws in the simulator's order: primary symbols, device symbols, noise.
     """
@@ -33,66 +31,45 @@ def chain_oracle(sys, ch, c, n_bd, gen):
     residual = y - math.sqrt(sys.power_w) * ch.h1 * s
     weights = (math.sqrt(sys.power_w) * ch.h2 * ch.h3 * s).conj()
     out = (weights * residual).reshape(n_bd, L).sum(axis=1) / sys.noise_w
-    return s, idx, y, out
+    return idx, out
 
 
 class TestSimulateBlock:
-    def test_zero_reflection_and_vanishing_noise(self):
-        ch = channel_from_polar(1.0, 1.0, 1.0)
-        sys = SystemParams(power_w=2.0, noise_w=1e-30, spread=32)
-        c = explicit_constellation([0j, 0j])
-        block = simulate_block(sys, ch, c, 8, RngSpec(5))
-        expected = math.sqrt(2.0) * ch.h1 * block.pt_symbols
-        assert np.allclose(block.received, expected, rtol=1e-10, atol=1e-12)
-
-    def test_received_power_matches_two_path_model(self, default_channel):
-        sys = SystemParams(power_w=0.05, noise_w=1e-13, spread=128)
-        c = mask_constellation(2, 0.7)
-        block = simulate_block(sys, default_channel, c, 8192, RngSpec(11))
-        h23 = default_channel.h2 * default_channel.h3
-        heq = np.abs(default_channel.h1 + h23 * np.asarray(c.points)) ** 2
-        expected = sys.power_w * heq.mean() + sys.noise_w
-        got = np.mean(np.abs(block.received) ** 2)
-        assert abs(got - expected) / expected < 0.01
+    """The simulated link as `combiner_outputs` returns it."""
 
     def test_fixed_rng_spec_is_bit_identical(self, default_channel, default_system):
         c = mask_constellation(4, 0.0)
-        a = simulate_block(default_system, default_channel, c, 16, RngSpec(7, stream=3))
-        b = simulate_block(default_system, default_channel, c, 16, RngSpec(7, stream=3))
-        assert np.array_equal(a.pt_symbols, b.pt_symbols)
-        assert np.array_equal(a.bd_symbol_indices, b.bd_symbol_indices)
-        assert np.array_equal(a.received, b.received)
+        a = combiner_outputs(default_system, default_channel, c, 16, RngSpec(7, stream=3))
+        b = combiner_outputs(default_system, default_channel, c, 16, RngSpec(7, stream=3))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_symbol_spans_hold_one_reflection_state(self, default_channel, default_system):
         c = mask_constellation(4, 0.0)
-        block = simulate_block(default_system, default_channel, c, 32, RngSpec(1))
-        assert len(block.pt_symbols) == 32 * default_system.spread
-        assert len(block.bd_symbol_indices) == 32
-        assert block.bd_symbol_indices.min() >= 0
-        assert block.bd_symbol_indices.max() < 4
+        idx, out = combiner_outputs(default_system, default_channel, c, 32, RngSpec(1))
+        assert idx.shape == out.shape == (32,)
+        assert idx.min() >= 0
+        assert idx.max() < 4
 
     def test_low_spread_warns(self, default_channel):
         sys = SystemParams(power_w=0.05, noise_w=1e-13, spread=4)
         with pytest.warns(UserWarning, match="spreading factor"):
-            simulate_block(sys, default_channel, mask_constellation(2, 0.0), 4, RngSpec(0))
+            combiner_outputs(sys, default_channel, mask_constellation(2, 0.0), 4, RngSpec(0))
 
-    def test_normalized_spans_have_exact_unit_power(self, default_channel, default_system):
-        block = simulate_block(default_system, default_channel,
-                               mask_constellation(2, 0.0), 16, RngSpec(3))
-        spans = block.pt_symbols.reshape(16, default_system.spread)
-        power = np.mean(np.abs(spans) ** 2, axis=1)
-        assert np.allclose(power, 1.0, rtol=1e-12)
+    @pytest.mark.parametrize("n_bd", [0, -1])
+    def test_no_device_symbols_is_refused(self, default_channel, default_system, n_bd):
+        with pytest.raises(ValueError, match="n_bd_symbols"):
+            combiner_outputs(default_system, default_channel, mask_constellation(2, 0.0),
+                             n_bd, RngSpec(0))
 
 
 def assert_chain_matches_oracle(ch, L: int, n_bd: int) -> None:
     # Neither power nor noise a power of ten, so no scaling is exact by accident.
     sys = SystemParams(power_w=7.3e-4, noise_w=2.9e-13, spread=L)
     c = mpsk_constellation(4, 0.8, 0.1)
-    block = simulate_block(sys, ch, c, n_bd, RngSpec(41, stream=L))
-    outputs = sic_mrc_receiver(block, sys, ch)
+    got = combiner_outputs(sys, ch, c, n_bd, RngSpec(41, stream=L))
     want = chain_oracle(sys, ch, c, n_bd, RngSpec(41, stream=L).generator())
-    got = (block.pt_symbols, block.bd_symbol_indices, block.received, outputs)
-    for name, a, b in zip(("s", "indices", "received", "outputs"), got, want):
+    for name, a, b in zip(("indices", "outputs"), got, want):
         assert np.array_equal(a, b), name
 
 
@@ -115,8 +92,8 @@ def test_chain_in_row_blocks_matches_whole_array_oracle(default_channel, L, n_bd
                          ids=["655_rows", "1_row", "512_rows"])
 def test_streamed_estimate_matches_receiver_on_simulated_blocks(default_channel, monkeypatch,
                                                                 L, kernel_block):
-    # empirical_bd_mi combines each row block as soon as it is drawn; the same
-    # chunks simulated whole and combined by sic_mrc_receiver give its bits.
+    # empirical_bd_mi feeds each chunk's combiner outputs to the kernel; the
+    # kernel summed over combiner_outputs chunk by chunk gives its bits.
     monkeypatch.setattr(link_sim, "_KERNEL_BLOCK", kernel_block)
     sys = SystemParams(power_w=7.3e-4, noise_w=2.9e-13, spread=L)
     c = mpsk_constellation(4, 0.8, 0.1)
@@ -125,11 +102,9 @@ def test_streamed_estimate_matches_receiver_on_simulated_blocks(default_channel,
     n, spec = 10_000, RngSpec(43, stream=L)
     total = total_sq = 0.0
     for index, start in enumerate(range(0, n, link_sim._SIM_CHUNK)):
-        block = simulate_block(sys, default_channel, c, min(link_sim._SIM_CHUNK, n - start),
-                               spec.generator(index))
-        y = sic_mrc_receiver(block, sys, default_channel)
-        v = _log_ratio_bits(y.real, y.imag, block.bd_symbol_indices, points, stats.gain,
-                            stats.noise_var)
+        idx, y = combiner_outputs(sys, default_channel, c, min(link_sim._SIM_CHUNK, n - start),
+                                  spec.generator(index))
+        v = _log_ratio_bits(y.real, y.imag, idx, points, stats.gain, stats.noise_var)
         total += float(v.sum())
         total_sq += float((v * v).sum())
     mean = total / n
@@ -139,48 +114,16 @@ def test_streamed_estimate_matches_receiver_on_simulated_blocks(default_channel,
 
 
 class TestSicMrcReceiver:
+    """The combiner outputs after direct-path cancellation and MRC."""
+
     def test_noiseless_output_is_gain_times_symbol(self):
         ch = channel_from_polar(1.0, 1.0, 1.0, 0.3, 0.8, 1.9)
         sys = SystemParams(power_w=1.0, noise_w=1e-20, spread=64)
         c = mpsk_constellation(4, 0.9, 0.2)
-        block = simulate_block(sys, ch, c, 16, RngSpec(21))
-        received = block.received.copy()
-        out = sic_mrc_receiver(block, sys, ch)
+        idx, out = combiner_outputs(sys, ch, c, 16, RngSpec(21))
         g = mrc_statistics(sys, ch).gain
-        want = g * np.asarray(c.points)[block.bd_symbol_indices]
+        want = g * np.asarray(c.points)[idx]
         assert np.allclose(out, want, rtol=1e-10)
-        # The block is left as drawn.
-        assert np.array_equal(block.received, received)
-
-    def test_real_valued_block_gives_a_complex_residual(self, default_channel):
-        # A caller may build a block from real arrays; the residual and the
-        # outputs are still the complex whole-array expressions.
-        sys = SystemParams(power_w=7.3e-4, noise_w=2.9e-13, spread=16)
-        gen = np.random.default_rng(17)
-        s, y = gen.standard_normal(64), 1e-3 * gen.standard_normal(64)
-        block = SimulatedBlock(pt_symbols=s, bd_symbol_indices=np.zeros(4, dtype=int),
-                               received=y)
-        out = sic_mrc_receiver(block, sys, default_channel)
-        residual = y - math.sqrt(sys.power_w) * default_channel.h1 * s
-        weights = (math.sqrt(sys.power_w) * default_channel.h2 * default_channel.h3 * s).conj()
-        assert np.array_equal(out, (weights * residual).reshape(4, 16).sum(axis=1) / sys.noise_w)
-
-    def test_residual_has_no_direct_component(self):
-        # The correlation of the residual against s recovers only the
-        # backscatter coefficient, not h1.
-        ch = channel_from_polar(1.0, 0.3, 0.7, 0.5, 1.1, 2.3)
-        sys = SystemParams(power_w=1.0, noise_w=0.01, spread=256)
-        c = mpsk_constellation(2, 0.9, 0.1)
-        block = simulate_block(sys, ch, c, 64, RngSpec(9))
-        s = block.pt_symbols.reshape(64, sys.spread)
-        res = block.received.reshape(64, sys.spread) - math.sqrt(sys.power_w) * ch.h1 * s
-        per_symbol = (res * s.conj()).sum(axis=1) / (np.abs(s) ** 2).sum(axis=1)
-        gamma = np.asarray(c.points)[block.bd_symbol_indices]
-        backscatter = math.sqrt(sys.power_w) * ch.h2 * ch.h3 * gamma
-        err = per_symbol - backscatter
-        # Residual correlation is pure noise: mean within 5 standard errors of 0.
-        se = np.std(err) / math.sqrt(len(err))
-        assert abs(np.mean(err)) <= 5.0 * se + 1e-12
 
     def test_conditional_moments_match_combining_statistics(self):
         ch = channel_from_polar(1.0, 1.0, 1.0)
@@ -189,9 +132,9 @@ class TestSicMrcReceiver:
         stats = mrc_statistics(sys, ch)
         outs, idx = [], []
         for chunk in range(20):
-            block = simulate_block(sys, ch, c, 2500, RngSpec(1234, stream=chunk))
-            outs.append(sic_mrc_receiver(block, sys, ch))
-            idx.append(block.bd_symbol_indices)
+            i, y = combiner_outputs(sys, ch, c, 2500, RngSpec(1234, stream=chunk))
+            outs.append(y)
+            idx.append(i)
         out = np.concatenate(outs)
         idx = np.concatenate(idx)
         for m, point in enumerate(c.points):
