@@ -2,11 +2,11 @@
 
 After interference cancellation and maximal ratio combining, one device
 symbol is observed as y = g * Gamma_m + w with w circularly symmetric
-complex Gaussian of variance sigma_s^2, and the coupling g = sigma_s^2 =
-L P |h2|^2 |h3|^2 / sigma^2.  The device rate is the mutual information of
-the equiprobable discrete input against that observation: one log-ratio
-kernel averaged over trapezoidal noise nodes, or over sampled observations
-by Monte Carlo and the link simulator.
+complex Gaussian of variance g, the one coupling g = L P |h2|^2 |h3|^2 /
+sigma^2.  The device rate is the mutual information of the equiprobable
+discrete input against that observation: one log-ratio kernel of (y, g)
+averaged over trapezoidal noise nodes, or over sampled observations by
+Monte Carlo and the link simulator.
 
 The MI is unchanged by translating, rotating or reflecting the point set,
 and the quadrature uses it.  A collinear set (every amplitude-keyed set)
@@ -73,10 +73,11 @@ _KERNEL_BLOCK = 1 << 16
 #: set's structure (collinear, or an equally spaced ring).
 _STRUCTURE_TOL = 1e-12
 
-#: Largest g max|Gamma| the log-ratio kernel takes.  Its exponents
-#: 2 Re(y conj(g Gamma_i)) - |g Gamma_i|^2 reach -3 (g max|Gamma|)^2, which this
-#: keeps 1% inside the float range.
-MAX_SCALED_GAIN = 7.7e153
+#: Largest g max|Gamma| the engines take while the kernel's noise term is negligible.
+MAX_SCALED_GAIN = 3.85e153
+#: Unit-noise radius |z| `check_gain` allows for: quadrature nodes have |z|^2 <= 42, numpy's
+#: normals stay below 12.3 a component, and Gaussian noise passes 40 with probability e^-1600.
+_NOISE_RADIUS = 40.0
 
 
 class PrecisionError(RuntimeError):
@@ -93,31 +94,39 @@ class PrecisionError(RuntimeError):
 
 @dataclass(frozen=True)
 class MrcStatistics:
-    """Post-combining gain g and noise variance sigma_s^2 (dimensionless).
-
-    The receiver model ties them together, gain == noise_var; the
-    constructor accepts unequal values only so unit tests can probe the
-    integration engine off the physical manifold.
-    """
+    """The combiner's coupling g; the engines read `gain`, and `noise_var` must repeat it."""
 
     gain: float
     noise_var: float
 
+    def __post_init__(self) -> None:
+        if not self.noise_var == self.gain >= 0.0:  # g = inf is left to `check_gain`
+            raise ValueError(f"noise_var {self.noise_var!r} must equal gain {self.gain!r} >= 0")
+
 
 def mrc_statistics(sys: SystemParams, ch: ChannelTriple) -> MrcStatistics:
-    """g = sigma_s^2 = L P |h2|^2 |h3|^2 / sigma^2 for the given link."""
+    """g = L P |h2|^2 |h3|^2 / sigma^2 for the given link; inf beyond the float range."""
     try:
         g = sys.spread * sys.power_w * ch.a2**2 * ch.a3**2 / sys.noise_w
     except OverflowError:  # |h2| or |h3| squared beyond the float range
         g = math.inf
+    g = math.inf if math.isnan(g) else g  # inf * 0: a partial product overflowed
     return MrcStatistics(gain=g, noise_var=g)
 
 
 def check_gain(gain: float, peak: float) -> None:
-    """Raise ValueError unless the kernel takes gain g for points up to |Gamma| = peak."""
-    if not gain * peak <= MAX_SCALED_GAIN:
-        raise ValueError(f"gain g = {gain!r} with max|Gamma| = {peak!r} puts g |Gamma| beyond "
-                         f"{MAX_SCALED_GAIN:g}, where the log-ratio kernel overflows")
+    """Raise ValueError unless the log-ratio kernel stays finite at gain g for |Gamma| <= peak.
+
+    Its largest intermediate, 2 Re(y conj(g Gamma_i)) - |g Gamma_i|^2 at y =
+    g Gamma_m + sqrt(g) z, is at most D (3 D + 2 sqrt(g) |z|) with D = 2 g peak
+    (the quadrature moves a collinear set's Gamma_0 to 0), and must stay 1%
+    inside the float range; the noise term rules at a small peak.  Divided by
+    g, the differences are no larger for g >= 2, and small below, as |Gamma| <= 1.
+    """
+    d = 2.0 * gain * peak
+    if not (gain >= 0.0 and d * (3.0 * d + 2.0 * math.sqrt(gain) * _NOISE_RADIUS)
+            <= 3.0 * (2.0 * MAX_SCALED_GAIN)**2):
+        raise ValueError(f"gain g = {gain!r} at |Gamma| <= {peak!r} overflows the log-ratio kernel")
 
 
 def _finite(total: float) -> float:
@@ -157,29 +166,27 @@ class _Scratch:
 
 
 def _log_ratio_bits(yr: np.ndarray, yi: np.ndarray, conditioned: np.ndarray,
-                    points: np.ndarray, gain: float, noise_var: float,
-                    out: np.ndarray | None = None,
+                    points: np.ndarray, g: float, out: np.ndarray | None = None,
                     scratch: _Scratch | None = None) -> np.ndarray:
     """Per-observation log2[p(y | Gamma_m) / p(y)] for observations y = yr + j yi.
 
-    `conditioned` holds the transmitted symbol index of each observation.
-    Differences of the Gaussian exponents are taken against the transmitted
-    symbol and reduced with max-subtraction, so gains up to ~1e8 stay inside
-    the exponential range.  The |y|^2 term cancels in the difference and is
-    never formed.  Observations are taken in blocks of about `_KERNEL_BLOCK`
-    matrix entries; each column is reduced on its own, row by row, so neither
-    the block size nor a split of the observations over several calls changes
-    a bit of the result.  The values go to `out`, which may be `yr` itself;
-    the work buffers come from `scratch`.
+    y = g Gamma_m + noise of variance g, and `conditioned` holds each m.  The
+    Gaussian exponents are taken relative to that symbol's and reduced with
+    max-subtraction (`check_gain` bounds their range); the |y|^2 term cancels
+    and is never formed.  Observations are taken in blocks of about
+    `_KERNEL_BLOCK` matrix entries; each column is reduced on its own, row by
+    row, so neither the block size nor a split of the observations over
+    several calls changes a bit of the result.  The values go to `out`, which
+    may be `yr` itself; the work buffers come from `scratch`.
     """
     n = len(yr)
     if out is None:
         out = np.empty(n)
-    if gain == 0.0:
+    if g == 0.0:
         out[:] = 0.0
         return out
     M = len(points)
-    scaled = gain * points
+    scaled = g * points
     # The 2 of 2 Re(y conj(g G_i)) scales the coefficients: exact short of
     # underflow, and one pass fewer.
     sr, si = 2.0 * scaled.real[:, None], 2.0 * scaled.imag[:, None]
@@ -194,12 +201,12 @@ def _log_ratio_bits(yr: np.ndarray, yi: np.ndarray, conditioned: np.ndarray,
         k = min(step, n - lo)
         u = work[:M * k].reshape(M, k)
         t = work[M * k:2 * M * k].reshape(M, k)
-        # u[i, n] = (2 Re(y conj(g G_i)) - |g G_i|^2) / nv; the log ratio needs
+        # u[i, n] = (2 Re(y conj(g G_i)) - |g G_i|^2) / g; the log ratio needs
         # only u_i - u_m, and u_m is gathered from u itself, so u_m - u_m == 0.
         np.multiply(sr, yr[lo:lo + k], out=u)
         u += np.multiply(si, yi[lo:lo + k], out=t)
         u -= energy
-        u /= noise_var
+        u /= g
         u -= u[conditioned[lo:lo + k], cols[:k]]
         umax = np.maximum(u.max(axis=0), 0.0)
         u -= umax
@@ -227,7 +234,7 @@ def _trapezoid_nodes(level: int, region: str) -> tuple[np.ndarray, np.ndarray]:
     outside the disc.  Counting the lattice points within radius r by the
     areas of their cells bounds the sum of w |z|^2 outside the disc by
     (R^2 + 1 + 3 h R^3) e^{-R^2}: the nodes dropped move a value by at most
-    3.7e-16 at every level, whatever the points, gain or noise variance.
+    3.7e-16 at every level, whatever the points or the gain.
     """
     h = _FIRST_STEP / 2**level
     r2 = _RADIUS2 / (h * h)  # exact: h is a power of two
@@ -281,8 +288,6 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics,
     if stats.gain == 0.0 or np.all(points == points[0]):
         # Output carries no information about the symbol.
         return MiEstimate(value_bits=0.0, std_error_bits=0.0, method="quadrature")
-    if stats.noise_var <= 0.0:
-        raise ValueError(f"noise_var must be > 0, got {stats.noise_var!r}")
     check_gain(stats.gain, float(np.abs(points).max()))
 
     M = len(points)
@@ -311,14 +316,14 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics,
 
     def added(level: int) -> float:
         z, weights = _trapezoid_nodes(level, region)
-        noise = math.sqrt(stats.noise_var) * z
+        noise = math.sqrt(stats.gain) * z
         count = len(terms) * len(z)
         total = 0.0
         for start in range(0, count, block):
             term, node = np.divmod(np.arange(start, min(start + block, count)), len(z))
             m = terms[term]
             y = stats.gain * points[m] + noise[node]
-            v = _log_ratio_bits(y.real, y.imag, m, points, stats.gain, stats.noise_var)
+            v = _log_ratio_bits(y.real, y.imag, m, points, stats.gain)
             # (w * v).sum(), not w @ v: numpy's pairwise sum, not a BLAS dot
             # whose bits may depend on the machine.
             total += float((counts[term] * weights[node] * v).sum())
@@ -406,12 +411,10 @@ def mi_monte_carlo(c: Constellation, stats: MrcStatistics, samples: int,
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples!r}")
     if stats.gain == 0.0:
         return MiEstimate(value_bits=0.0, std_error_bits=0.0, method="monte_carlo")
-    if stats.noise_var <= 0.0:
-        raise ValueError(f"noise_var must be > 0, got {stats.noise_var!r}")
     points = np.asarray(c.points, dtype=complex)
     check_gain(stats.gain, float(np.abs(points).max()))
     scaled = stats.gain * points
-    half = math.sqrt(stats.noise_var / 2.0)
+    half = math.sqrt(stats.gain / 2.0)
 
     def values(chunk_index: int, n: int, scratch: _Scratch) -> np.ndarray:
         rng = np.random.default_rng(
@@ -424,8 +427,8 @@ def mi_monte_carlo(c: Constellation, stats: MrcStatistics, samples: int,
             np.add(scaled.real[m[span]], x, out=yr[span])
         for span, x in _normal_blocks(rng, n, buf, half):
             x += scaled.imag[m[span]]
-            _log_ratio_bits(yr[span], x, m[span], points, stats.gain, stats.noise_var,
-                            out=yr[span], scratch=scratch)
+            _log_ratio_bits(yr[span], x, m[span], points, stats.gain, out=yr[span],
+                            scratch=scratch)
         return yr
 
     return _sample_mean(samples, _MC_CHUNK, values)

@@ -153,14 +153,13 @@ def empirical_bd_mi(sys: SystemParams, ch: ChannelTriple, c: Constellation,
     if n_bd_symbols < MIN_SAMPLES:
         raise ValueError(f"n_bd_symbols must be >= {MIN_SAMPLES}, got {n_bd_symbols!r}")
     _warn_low_spread(sys.spread)
-    stats = mrc_statistics(sys, ch)
+    g = mrc_statistics(sys, ch).gain
     points = np.asarray(c.points, dtype=complex)
-    check_gain(stats.gain, float(np.abs(points).max()))
+    check_gain(g, float(np.abs(points).max()))
 
     def values(chunk_index: int, n: int, scratch: _Scratch) -> np.ndarray:
         idx, outputs = _chain(sys, ch, c, n, rng.generator(chunk_index), scratch)
-        return _log_ratio_bits(outputs.real, outputs.imag, idx, points, stats.gain,
-                               stats.noise_var, out=scratch.array("values", n),
-                               scratch=scratch)
+        return _log_ratio_bits(outputs.real, outputs.imag, idx, points, g,
+                               out=scratch.array("values", n), scratch=scratch)
 
     return _sample_mean(n_bd_symbols, _SIM_CHUNK, values)

@@ -386,10 +386,6 @@ def scenario_to_dict(scn: Scenario) -> dict:
     return out
 
 
-def write_scenario(scn: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scn), indent=2) + "\n")
-
-
 def scenario_hash(scn: Scenario) -> str:
     """Short stable digest identifying a scenario in emitted artifacts."""
     canon = json.dumps(scenario_to_dict(scn), sort_keys=True, separators=(",", ":"))

@@ -284,11 +284,11 @@ def test_criterion_10_combiner_statistics_and_empirical_mi():
         sel = out[idx == m]
         n = len(sel)
         want = stats.gain * point
-        se = math.sqrt(stats.noise_var / (2 * n))
+        se = math.sqrt(stats.gain / (2 * n))  # the noise variance is g
         mean_err = max(abs(sel.mean().real - want.real), abs(sel.mean().imag - want.imag))
         mean_ok &= mean_err <= 5.0 * se
         var = float(np.mean(np.abs(sel - want) ** 2))
-        rel = abs(var - stats.noise_var) / stats.noise_var
+        rel = abs(var - stats.gain) / stats.gain
         var_ok &= rel <= 0.02
         details.append(f"symbol {m}: mean err {mean_err / se:.2f} se, var err {rel:.2%}")
     emp = empirical_bd_mi(sys, ch, c, 200_000, RngSpec(2020))

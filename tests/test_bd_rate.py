@@ -20,34 +20,33 @@ from sbcrate.link_sim import RngSpec, empirical_bd_mi
 from .conftest import channel_from_polar
 
 
-def tensor_mi_oracle(points, gain: float, noise_var: float, nodes: int,
-                     conditioned=None) -> float:
+def tensor_mi_oracle(points, g: float, nodes: int, conditioned=None) -> float:
     """Mutual information on one tensor Gauss-Hermite level, in the difference form.
 
     Independent of the engine's log-ratio kernel: the exponent differences are
-    -(|g d|^2 + 2 Re(g d conj w)) / sigma_s^2 with d = Gamma_m - Gamma_i and w
-    the noise node, so no O(g) terms are formed and subtracted.  The mean runs
+    -(|g d|^2 + 2 Re(g d conj w)) / g with d = Gamma_m - Gamma_i and w the
+    noise node, so no O(g) terms are formed and subtracted.  The mean runs
     over the `conditioned` symbols m, all of them by default.
     """
     points = np.asarray(points, dtype=complex)
     M = len(points)
     conditioned = range(M) if conditioned is None else conditioned
     x, wq = hermgauss(nodes)
-    w_nodes = math.sqrt(noise_var) * (x[:, None] + 1j * x[None, :])
+    w_nodes = math.sqrt(g) * (x[:, None] + 1j * x[None, :])
     w2 = (wq[:, None] * wq[None, :]) / math.pi
     diff = points[:, None] - points[None, :]
     acc = 0.0
     for m in conditioned:
-        dm = gain * diff[m]
+        dm = g * diff[m]
         t = -(np.abs(dm)[:, None, None] ** 2
-              + 2.0 * np.real(dm[:, None, None] * np.conj(w_nodes)[None, :, :])) / noise_var
+              + 2.0 * np.real(dm[:, None, None] * np.conj(w_nodes)[None, :, :])) / g
         tmax = np.maximum(t.max(axis=0), 0.0)
         lse = tmax / math.log(2.0) + np.log2(np.exp(t - tmax).sum(axis=0))
         acc += float((w2 * lse).sum())
     return math.log2(M) - acc / len(conditioned)
 
 
-def lattice_mi_oracle(points, gain: float, noise_var: float, step: float, radius2: float,
+def lattice_mi_oracle(points, g: float, step: float, radius2: float,
                       conditioned=None) -> float:
     """Mutual information on the trapezoidal lattice of `step` inside |z|^2 <= radius2.
 
@@ -65,22 +64,22 @@ def lattice_mi_oracle(points, gain: float, noise_var: float, step: float, radius
     r2 = z.real ** 2 + z.imag ** 2
     z, r2 = z[r2 <= radius2], r2[r2 <= radius2]
     w = (step / math.sqrt(math.pi)) ** (1 if real else 2) * np.exp(-r2)
-    noise = math.sqrt(noise_var) * z
+    noise = math.sqrt(g) * z
     conditioned = range(len(points)) if conditioned is None else conditioned
     acc = 0.0
     for m in conditioned:
-        dm = gain * (points[m] - points)[:, None]
+        dm = g * (points[m] - points)[:, None]
         for lo in range(0, len(z), 4096):
-            t = -(np.abs(dm) ** 2 + 2.0 * np.real(dm * np.conj(noise[lo:lo + 4096]))) / noise_var
+            t = -(np.abs(dm) ** 2 + 2.0 * np.real(dm * np.conj(noise[lo:lo + 4096]))) / g
             tmax = np.maximum(t.max(axis=0), 0.0)
             lse = tmax / math.log(2.0) + np.log2(np.exp(t - tmax).sum(axis=0))
             acc += float((w[lo:lo + 4096] * lse).sum())
     return math.log2(len(points)) - acc / len(conditioned)
 
 
-def level_one_oracle(points, gain: float, noise_var: float, conditioned=None) -> float:
+def level_one_oracle(points, g: float, conditioned=None) -> float:
     """What `mi_quadrature(..., tol=math.inf)` integrates: the second level's whole lattice."""
-    return lattice_mi_oracle(points, gain, noise_var, _FIRST_STEP / 2, _RADIUS2, conditioned)
+    return lattice_mi_oracle(points, g, _FIRST_STEP / 2, _RADIUS2, conditioned)
 
 
 def added(level: int, region: str) -> int:
@@ -95,13 +94,13 @@ def assert_work(kernel_entries, per_node: int, region: str) -> None:
                               for level in range(len(kernel_entries))]
 
 
-def whole_log_ratio_oracle(y, conditioned, points, gain: float, noise_var: float) -> np.ndarray:
+def whole_log_ratio_oracle(y, conditioned, points, g: float) -> np.ndarray:
     """The log-ratio kernel over all observations at once, as one M x n matrix."""
-    scaled = gain * points
+    scaled = g * points
     u = (2.0 * (np.outer(scaled.real, y.real) + np.outer(scaled.imag, y.imag))
-         - (np.abs(scaled) ** 2)[:, None]) / noise_var
+         - (np.abs(scaled) ** 2)[:, None]) / g
     sc = scaled[conditioned]
-    u -= (2.0 * (sc.real * y.real + sc.imag * y.imag) - np.abs(sc) ** 2) / noise_var
+    u -= (2.0 * (sc.real * y.real + sc.imag * y.imag) - np.abs(sc) ** 2) / g
     umax = np.maximum(u.max(axis=0), 0.0)
     lse = umax / math.log(2.0) + np.log2(np.exp(u - umax).sum(axis=0))
     return math.log2(len(points)) - lse
@@ -120,13 +119,13 @@ def turned_ring(points) -> np.ndarray:
     return points * (abs(points[0]) / points[0])
 
 
-def adaptive_conditioned_term(points, gain: float, noise_var: float) -> float:
+def adaptive_conditioned_term(points, g: float) -> float:
     """The Gamma_0-conditioned term E[log2 p(y | Gamma_0) / p(y)] by adaptive 2-D integration.
 
-    With y = g Gamma_0 + sigma_s (a + j b), (a, b) has density exp(-a^2 - b^2) / pi,
-    and the exponents are e_i = -|g (Gamma_0 - Gamma_i) / sigma_s + a + j b|^2.
+    With y = g Gamma_0 + sqrt(g) (a + j b), (a, b) has density exp(-a^2 - b^2) / pi,
+    and the exponents are e_i = -|sqrt(g) (Gamma_0 - Gamma_i) + a + j b|^2.
     """
-    d = gain * (points[0] - np.asarray(points, dtype=complex)) / math.sqrt(noise_var)
+    d = math.sqrt(g) * (points[0] - np.asarray(points, dtype=complex))
     log_m = math.log(len(d))
 
     def integrand(b: float, a: float) -> float:
@@ -138,15 +137,15 @@ def adaptive_conditioned_term(points, gain: float, noise_var: float) -> float:
     return value
 
 
-def adaptive_mi_collinear(points, gain: float, noise_var: float) -> float:
+def adaptive_mi_collinear(points, g: float) -> float:
     """Mutual information of real points by adaptive integration, independent of Gauss rules.
 
-    Along the line, u = (g Gamma + n) / sigma_s has the mixture density
-    p(u) = (1/M) sum_i exp(-(u - d_i)^2) / sqrt(pi), d_i = g Gamma_i / sigma_s,
+    Along the line, u = (g Gamma + n) / sqrt(g) has the mixture density
+    p(u) = (1/M) sum_i exp(-(u - d_i)^2) / sqrt(pi), d_i = sqrt(g) Gamma_i,
     and I = h(U) - h(N) with h(N) = log2(pi e) / 2; the orthogonal noise
     carries no information.
     """
-    d = np.sort(gain * np.asarray(points, dtype=float) / math.sqrt(noise_var))
+    d = np.sort(math.sqrt(g) * np.asarray(points, dtype=float))
     norm = math.log(len(d) * math.sqrt(math.pi))
 
     def neg_p_log_p(u: float) -> float:
@@ -174,9 +173,9 @@ def kernel_entries(monkeypatch):
         levels.append([level, 0])
         return rule(level, region)
 
-    def counting_kernel(yr, yi, conditioned, points, gain, noise_var):
+    def counting_kernel(yr, yi, conditioned, points, g):
         levels[-1][1] += len(points) * len(yr)
-        return kernel(yr, yi, conditioned, points, gain, noise_var)
+        return kernel(yr, yi, conditioned, points, g)
 
     monkeypatch.setattr(engine, "_trapezoid_nodes", counting_rule)
     monkeypatch.setattr(engine, "_log_ratio_bits", counting_kernel)
@@ -202,6 +201,20 @@ class TestMrcStatistics:
         assert st_.gain == pytest.approx(642.5679030907881, rel=1e-9)
         assert st_.gain == st_.noise_var
 
+    def test_a_pair_off_the_receiver_model_is_refused(self):
+        # One coupling g is both the gain and the noise variance.
+        for gain, noise_var in ((12.0, 3.0), (-1.0, -1.0), (math.nan, math.nan)):
+            with pytest.raises(ValueError, match="noise_var"):
+                MrcStatistics(gain, noise_var)
+        # An infinite g is left to the kernel's range check, which names it.
+        with pytest.raises(ValueError, match="gain g = inf"):
+            mi_quadrature(mask_constellation(2, 0.0), MrcStatistics(math.inf, math.inf))
+
+    def test_an_overflowed_product_gives_an_infinite_gain(self):
+        # spread * power_w * |h2|^2 overflows and |h3| = 0: inf * 0 is nan.
+        sys = SystemParams(power_w=1e300, noise_w=1.0, spread=1)
+        assert mrc_statistics(sys, channel_from_polar(1.0, 1e10, 0.0)).gain == math.inf
+
 
 class TestLogRatioKernel:
     @pytest.mark.parametrize("M", [2, 8, 16, 64])
@@ -216,8 +229,8 @@ class TestLogRatioKernel:
         m = rng.integers(0, M, size=n) if per_observation else np.full(n, M // 2)
         y = g * points[m] + math.sqrt(g / 2) * (rng.standard_normal(n)
                                                 + 1j * rng.standard_normal(n))
-        got = _log_ratio_bits(y.real, y.imag, m, points, g, g)
-        assert np.array_equal(got, whole_log_ratio_oracle(y, m, points, g, g))
+        got = _log_ratio_bits(y.real, y.imag, m, points, g)
+        assert np.array_equal(got, whole_log_ratio_oracle(y, m, points, g))
 
     @pytest.mark.parametrize("M", [3, 8, 16])
     def test_any_split_of_the_observations_gives_the_same_bits(self, M):
@@ -230,9 +243,9 @@ class TestLogRatioKernel:
         m = rng.integers(0, M, size=n)
         y = g * points[m] + math.sqrt(g / 2) * (rng.standard_normal(n)
                                                 + 1j * rng.standard_normal(n))
-        whole = _log_ratio_bits(y.real, y.imag, m, points, g, g)
+        whole = _log_ratio_bits(y.real, y.imag, m, points, g)
         cuts = np.concatenate([np.arange(1, 200), rng.integers(200, n, size=20)])
-        pieces = [_log_ratio_bits(y.real[a:b], y.imag[a:b], m[a:b], points, g, g)
+        pieces = [_log_ratio_bits(y.real[a:b], y.imag[a:b], m[a:b], points, g)
                   for a, b in zip(np.r_[0, np.sort(cuts)], np.r_[np.sort(cuts), n])]
         assert np.array_equal(np.concatenate(pieces), whole)
 
@@ -244,7 +257,7 @@ ESTIMATORS = pytest.mark.parametrize("estimate", [
 
 
 class TestKernelRange:
-    """g max|Gamma| beyond MAX_SCALED_GAIN is refused; a non-finite value never escapes."""
+    """A gain that would overflow the kernel is refused; a non-finite value never escapes."""
 
     RING = mpsk_constellation(8, 1.0, 0.1)
 
@@ -256,6 +269,24 @@ class TestKernelRange:
         with pytest.raises(ValueError, match=re.escape(f"gain g = {g!r}")):
             estimate(self.RING, MrcStatistics(g, g))
 
+    @ESTIMATORS
+    @pytest.mark.parametrize("amplitude", [7e-155, 1e-155])
+    def test_small_ring_at_the_largest_gains_is_named(self, estimate, amplitude):
+        # The noise sqrt(g) z meets g Gamma in the kernel: at 7e-155 its sums
+        # would overflow to nan; at 1e-155, where g |Gamma| = 1e153 is inside
+        # MAX_SCALED_GAIN, the noise term alone passes the bound.
+        with pytest.raises(ValueError, match=re.escape("gain g = 1e+308")):
+            estimate(mpsk_constellation(8, amplitude, 0.1), MrcStatistics(1e308, 1e308))
+
+    @ESTIMATORS
+    def test_a_translated_line_stays_in_range(self, estimate):
+        # The quadrature moves Gamma_0 of a pair to 0, so the kernel sees |Gamma| = 2.
+        pair = mpsk_constellation(2, 1.0, 0.1)
+        g = 0.999 * MAX_SCALED_GAIN
+        assert estimate(pair, MrcStatistics(g, g)).value_bits == 1.0
+        with pytest.raises(ValueError, match="gain g = "):
+            estimate(pair, MrcStatistics(2 * g, 2 * g))
+
     def test_simulated_link_names_the_gain(self):
         sys = SystemParams(power_w=1e153, noise_w=1.0, spread=16)  # g = 1.6e154
         with pytest.raises(ValueError, match="gain g = "):
@@ -263,32 +294,40 @@ class TestKernelRange:
                             RngSpec(1))
 
     @ESTIMATORS
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
-    def test_overflow_off_the_receiver_model_raises(self, estimate):
-        # noise_var far below the gain: the exponents overflow to nan.
+    def test_a_non_finite_kernel_sum_raises(self, estimate, monkeypatch):
+        # `check_gain` keeps the kernel finite; a kernel that still overflowed
+        # must raise, not return nan.
+        def overflowed(yr, yi, conditioned, points, g, out=None, scratch=None):
+            out = np.empty(len(yr)) if out is None else out
+            out[:] = math.nan
+            return out
+
+        monkeypatch.setattr(importlib.import_module("sbcrate.bd_rate"), "_log_ratio_bits",
+                            overflowed)
         with pytest.raises(FloatingPointError, match="overflowed"):
-            estimate(self.RING, MrcStatistics(1e100, 1e-250))
+            estimate(self.RING, MrcStatistics(10.0, 10.0))
 
 
 class TestTruncatedRule:
     """Each rule drops only nodes whose share of any estimate is below rounding."""
 
-    @given(M=st.integers(2, 16), log_gain=st.floats(-2.0, 8.0), log_noise=st.floats(-2.0, 8.0),
-           seed=st.integers(0, 2**16), radius=st.floats(0.0, 12.0))
+    @given(M=st.integers(2, 16), log_g=st.floats(-12.0, 18.0), seed=st.integers(0, 2**16),
+           radius=st.floats(0.0, 12.0))
     @settings(max_examples=60, deadline=None)
-    def test_log_ratio_lies_between_the_cut_bounds(self, M, log_gain, log_noise, seed, radius):
+    def test_log_ratio_lies_between_the_cut_bounds(self, M, log_g, seed, radius):
         # -|z|^2 / ln 2 <= v(z) <= log2 M at a unit-noise node z: the bound the
         # cut rests on.  The lower one holds to the rounding of the exponents.
+        # g spans what gains and noise variances from 1e-2 to 1e8 reach as
+        # g = gain^2 / noise variance.
         rng = np.random.default_rng(seed)
         points = rng.uniform(-1.0, 1.0, M) + 1j * rng.uniform(-1.0, 1.0, M)
-        gain, noise_var = 10.0**log_gain, 10.0**log_noise
+        g = 10.0**log_g
         z = radius * rng.uniform(0.0, 1.0, 64) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 64))
         m = rng.integers(0, M, size=64)
-        y = gain * points[m] + math.sqrt(noise_var) * z
-        v = _log_ratio_bits(y.real, y.imag, m, points, gain, noise_var)
-        scaled = np.abs(gain * points)
-        exponent_scale = (scaled.max() ** 2 + 2.0 * scaled.max() * np.abs(y)) / noise_var
+        y = g * points[m] + math.sqrt(g) * z
+        v = _log_ratio_bits(y.real, y.imag, m, points, g)
+        scaled = np.abs(g * points)
+        exponent_scale = (scaled.max() ** 2 + 2.0 * scaled.max() * np.abs(y)) / g
         assert np.all(v <= math.log2(M))
         assert np.all(v >= -(np.abs(z) ** 2 + 1e-13 * (1.0 + exponent_scale)) / math.log(2.0))
 
@@ -387,7 +426,8 @@ class TestMiQuadrature:
         # Gamma_0 term of an mpsk set turned so that Gamma_0 is real (the
         # whole plane equals the engine's half plane), and for every
         # conditioned term of other sets. The seed adds random sets of the
-        # last kind, with gain and noise drawn apart.
+        # last kind, with a gain and a noise variance drawn apart and mapped
+        # to the one coupling of the same MI, g = gain^2 / noise variance.
         cases = []
         for M in (2, 3, 4, 8, 16):
             mask, mpsk = mask_constellation(M, 0.7), mpsk_constellation(M, 0.9, 0.1)
@@ -401,16 +441,17 @@ class TestMiQuadrature:
         c = explicit_constellation([0.9, 0.5j, -0.3 - 0.4j])
         cases.append((c, MrcStatistics(7.0, 7.0), c.points, None))
         c = mpsk_constellation(4, 0.8, 0.3)
-        cases.append((c, MrcStatistics(12.0, 3.0), turned_ring(c.points), (0,)))  # gain != noise
+        cases.append((c, MrcStatistics(48.0, 48.0), turned_ring(c.points), (0,)))  # 12^2 / 3
         rng = np.random.default_rng(seed)
         for n_points in (3, 5, 8):
             c = explicit_constellation(rng.uniform(-0.7, 0.7, n_points)
                                        + 1j * rng.uniform(-0.7, 0.7, n_points))
             gain, noise_var = 10.0 ** rng.uniform(-1.0, 3.0, size=2)
-            cases.append((c, MrcStatistics(gain, noise_var), c.points, None))
+            g = gain**2 / noise_var
+            cases.append((c, MrcStatistics(g, g), c.points, None))
         for c, stats, points, conditioned in cases:
             est = mi_quadrature(c, stats, tol=math.inf)
-            ref = level_one_oracle(points, stats.gain, stats.noise_var, conditioned)
+            ref = level_one_oracle(points, stats.gain, conditioned)
             assert abs(est.value_bits - ref) <= 1e-12, (c.points, stats)
 
     def test_mask_matches_adaptive_integral(self):
@@ -419,7 +460,7 @@ class TestMiQuadrature:
             line = [m / (M - 1) for m in range(M)]
             for g in (0.1, 1.0, 30.0, 200.0, 3000.0):
                 est = mi_quadrature(mask_constellation(M, 0.37 * 2 * math.pi), MrcStatistics(g, g))
-                ref = adaptive_mi_collinear(line, g, g)
+                ref = adaptive_mi_collinear(line, g)
                 assert abs(est.value_bits - ref) <= 1e-9, (M, g)
 
     @pytest.mark.parametrize("scheme, M", [("mask", 2), ("mask", 4), ("mask", 8),
@@ -432,13 +473,13 @@ class TestMiQuadrature:
             line = [m / (M - 1) for m in range(M)]
 
             def oracle(g):
-                return adaptive_mi_collinear(line, g, g)
+                return adaptive_mi_collinear(line, g)
         else:
             c, gains = mpsk_constellation(M, 0.9, 0.1), np.logspace(-1.0, 4.0, 12)
 
             def oracle(g):
                 # Steps 0.03 and 0.022 agree to 2e-15 at these gains.
-                return lattice_mi_oracle(c.points, g, g, 0.03, 49.0, conditioned=(0,))
+                return lattice_mi_oracle(c.points, g, 0.03, 49.0, conditioned=(0,))
         for g in gains:
             est = mi_quadrature(c, MrcStatistics(g, g))
             assert abs(est.value_bits - oracle(g)) <= DEFAULT_MI_TOL, g
@@ -448,7 +489,7 @@ class TestMiQuadrature:
         # Every conditioned term at a converged level, against the engine's one term.
         c = mpsk_constellation(M, 0.9, 0.1)
         for g in (1.0, 200.0):
-            ref = tensor_mi_oracle(c.points, g, g, 216)
+            ref = tensor_mi_oracle(c.points, g, 216)
             assert abs(mi_quadrature(c, MrcStatistics(g, g)).value_bits - ref) \
                 <= 2 * DEFAULT_MI_TOL, (M, g)
 
@@ -510,7 +551,7 @@ class TestMiQuadrature:
             assert len(kernel_entries) == 2
             # [0, 0.1, 1] has no mirror and keeps all M terms; an odd mask
             # set evaluates ceil(M/2) and counts its middle term once.
-            ref = level_one_oracle(np.real(points), 40.0, 40.0)
+            ref = level_one_oracle(np.real(points), 40.0)
             assert abs(est.value_bits - ref) <= 1e-12, points
 
     @pytest.mark.parametrize("M", [4, 8, 16])
@@ -523,7 +564,7 @@ class TestMiQuadrature:
     @pytest.mark.parametrize("M, g", [(4, 30.0), (16, 200.0)])
     def test_mpsk_matches_adaptive_conditioned_term(self, M, g):
         c = mpsk_constellation(M, 0.9, 0.1)
-        ref = adaptive_conditioned_term(c.points, g, g)
+        ref = adaptive_conditioned_term(c.points, g)
         assert abs(mi_quadrature(c, MrcStatistics(g, g)).value_bits - ref) <= 1e-9
 
     @pytest.mark.parametrize("scheme", ["mask", "mpsk"])
@@ -556,12 +597,8 @@ class TestMiQuadrature:
         est = info.value.estimate
         assert est.method == "quadrature"
         # The best estimate is the last level's.
-        ref = level_one_oracle(turned_ring(c.points), 20.0, 20.0, (0,))
+        ref = level_one_oracle(turned_ring(c.points), 20.0, (0,))
         assert abs(est.value_bits - ref) <= 1e-12
-
-    def test_invalid_noise_rejected(self):
-        with pytest.raises(ValueError):
-            mi_quadrature(mask_constellation(2, 0.0), MrcStatistics(1.0, 0.0))
 
 
 class TestMiMonteCarlo:

@@ -5,11 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import sbcrate
 from sbcrate.channel import path_loss
+from sbcrate.constellation import equal_power_psk_amplitude
 from sbcrate.cli import main
 from sbcrate.scenario import DEFAULT_SCENARIO, apply_overrides, load_scenario
 
@@ -133,12 +135,34 @@ class TestRateCommand:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("scenario error: invalid system: gain g = 1.28")
 
+    @pytest.mark.parametrize("argv", [["rate"], ["mi"], ["mi", "--method", "monte-carlo"]],
+                             ids=["rate", "mi", "mi-mc"])
+    def test_noise_term_beyond_the_kernel_range_exits_2_naming_system(self, capsys, argv):
+        # g |Gamma| = 4.8e153 on a ring of amplitude 1e-154, but g = 4.8e307:
+        # with the noise sqrt(g) z the kernel's sums overflow to nan.
+        code = main([*argv, *self.RING_8, "--override", "modulation.amplitude=1e-154",
+                     "--override", "system.noise_dbm=-2970", "--override", "system.power_w=1",
+                     "--override", "fading.l2=[100000.0,0.0]",
+                     "--override", "fading.l3=[1000.0,0.0]"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("scenario error: invalid system: gain g = 4.8")
+
+    def test_an_overflowed_coupling_exits_2_naming_system(self, capsys):
+        # spread * power_w * |h2|^2 overflows while h3 = 0: the product is nan.
+        code = main(["mi", "--override", "modulation.base_phase=0.1",
+                     "--override", "system.noise_dbm=30", "--override", "system.spread=1",
+                     "--override", "system.power_w=1e300", "--override", "fading.l2=[1e100,0.0]",
+                     "--override", "fading.l3=[0,0]"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("scenario error: invalid system: gain g = inf")
+
     @pytest.mark.parametrize("argv, column", [
         (["rate"], "bd_rate_bits"), (["mi"], "value_bits"),
         (["mi", "--method", "monte-carlo"], "value_bits")], ids=["rate", "mi", "mi-mc"])
     def test_largest_coupling_in_range_gives_the_full_rate(self, tmp_path, argv, column):
-        # g |Gamma| = 7.68e153, just inside the kernel's range.
-        code, text = run_cli(tmp_path, *argv, *self.RING_8, "--override", "system.power_w=1e150")
+        # g |Gamma| = 3.84e153, just inside the kernel's range.
+        code, text = run_cli(tmp_path, *argv, *self.RING_8, "--override", "system.power_w=5e149")
         assert code == 0
         _, rows, header = parse_csv(text)
         assert float(rows[0][header.index(column)]) == 3.0
@@ -188,9 +212,8 @@ class TestRateCommand:
             ("fading.l1=[0,0]", "fading.l1 gives h1 = 0, which leaves the optimal phase "
                                 "undefined"),
             # |h2|^2 beyond the float range, so the coupling g is too.
-            ("fading.l2=[1e200,0]", "invalid system: gain g = inf with max|Gamma| = 1.0 puts "
-                                    "g |Gamma| beyond 7.7e+153, where the log-ratio kernel "
-                                    "overflows"),
+            ("fading.l2=[1e200,0]", "invalid system: gain g = inf at |Gamma| <= 1.0 overflows "
+                                    "the log-ratio kernel"),
         ]] + [
         pytest.param(f"system.spread={10**400}",
                      f"invalid system: spread * power_w / noise_w must be finite, got "
@@ -280,6 +303,37 @@ class TestRatioSweep:
         above = [r for r in rows if float(r[0]) > r0 * 1.05]
         assert all(float(r[2]) > float(r[1]) for r in below)
         assert all(float(r[1]) > float(r[2]) for r in above)
+
+    @pytest.mark.parametrize("M", [2, 4, 8])
+    def test_crossing_ratio_matches_a_50_digit_root(self, tmp_path, M):
+        # An oracle that shares neither the grid, the bisection nor the rate
+        # kernel: mpmath's root of the ASK - PSK optimal-rate difference at 50
+        # digits, from the same double rho, |h2||h3| and ring amplitude.  The
+        # figure sweep's r0 lands within a relative 1.2e-15 of it.
+        overrides = [f"modulation.order={M}",
+                     'sweep={"variable":"channel_ratio","lo":0.02,"hi":3.0,"steps":400}']
+        code, text = run_cli(tmp_path, "ratio-sweep",
+                             *(arg for o in overrides for arg in ("--override", o)))
+        assert code == 0
+        r0 = float(text.split("crossing_ratio_r0=")[1])
+        scn = load_scenario(None, overrides)
+        with mpmath.workdps(50):
+            snr = mpmath.mpf(scn.system.snr_scale) * mpmath.mpf(scn.channel().a23) ** 2
+            alpha = mpmath.mpf(equal_power_psk_amplitude(M))
+
+            def ask_minus_psk(r):
+                # |h1| = r |h2||h3|: the grid aligned with h1, the ring at the
+                # even-order optimum pi/M from it.
+                ask = mpmath.fsum(mpmath.log(1 + snr * (r + mpmath.mpf(m) / (M - 1)) ** 2)
+                                  for m in range(M))
+                psk = mpmath.fsum(mpmath.log(1 + snr * (r * r + alpha * alpha + 2 * r * alpha
+                                                        * mpmath.cos(mpmath.pi * (2 * m + 1) / M)))
+                                  for m in range(M))
+                return ask - psk
+
+            root = mpmath.findroot(ask_minus_psk, (mpmath.mpf("0.02"), mpmath.mpf(3)),
+                                   solver="anderson")
+            assert abs(r0 - root) <= 1e-13 * root, (r0, root)
 
     def test_bisection_reaches_float_resolution_in_a_wide_cell(self, tmp_path):
         # Above about 2e14 both optimal rates round alike: a cell reaching

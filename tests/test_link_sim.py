@@ -97,14 +97,14 @@ def test_streamed_estimate_matches_receiver_on_simulated_blocks(default_channel,
     monkeypatch.setattr(link_sim, "_KERNEL_BLOCK", kernel_block)
     sys = SystemParams(power_w=7.3e-4, noise_w=2.9e-13, spread=L)
     c = mpsk_constellation(4, 0.8, 0.1)
-    stats = mrc_statistics(sys, default_channel)
+    g = mrc_statistics(sys, default_channel).gain
     points = np.asarray(c.points, dtype=complex)
     n, spec = 10_000, RngSpec(43, stream=L)
     total = total_sq = 0.0
     for index, start in enumerate(range(0, n, link_sim._SIM_CHUNK)):
         idx, y = combiner_outputs(sys, default_channel, c, min(link_sim._SIM_CHUNK, n - start),
                                   spec.generator(index))
-        v = _log_ratio_bits(y.real, y.imag, idx, points, stats.gain, stats.noise_var)
+        v = _log_ratio_bits(y.real, y.imag, idx, points, g)
         total += float(v.sum())
         total_sq += float((v * v).sum())
     mean = total / n
@@ -140,13 +140,13 @@ class TestSicMrcReceiver:
         for m, point in enumerate(c.points):
             sel = out[idx == m]
             n = len(sel)
-            se = math.sqrt(stats.noise_var / (2 * n))
+            se = math.sqrt(stats.gain / (2 * n))  # the noise variance is g
             mean = sel.mean()
             want = stats.gain * point
             assert abs(mean.real - want.real) <= 5 * se
             assert abs(mean.imag - want.imag) <= 5 * se
             var = np.mean(np.abs(sel - want) ** 2)
-            assert abs(var - stats.noise_var) / stats.noise_var < 0.05
+            assert abs(var - stats.gain) / stats.gain < 0.05
 
 
 class TestEmpiricalMi:

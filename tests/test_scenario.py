@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,12 @@ from hypothesis import strategies as st
 from sbcrate.phase_opt import phase_period
 from sbcrate.scenario import (DEFAULT_SCENARIO, Scenario, ScenarioError, apply_overrides,
                               db_to_linear, dbm_to_watt, load_scenario, parse_scenario,
-                              scenario_hash, scenario_to_dict, write_scenario)
+                              scenario_hash, scenario_to_dict)
+
+
+def write_scenario(scn: Scenario, path: Path) -> None:
+    """The canonical form of `scn` as a scenario file, as `load_scenario` reads it."""
+    path.write_text(json.dumps(scenario_to_dict(scn), indent=2) + "\n")
 
 
 @pytest.fixture
