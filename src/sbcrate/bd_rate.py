@@ -110,7 +110,14 @@ def mrc_statistics(sys: SystemParams, ch: ChannelTriple) -> MrcStatistics:
         g = sys.spread * sys.power_w * ch.a2**2 * ch.a3**2 / sys.noise_w
     except OverflowError:  # |h2| or |h3| squared beyond the float range
         g = math.inf
-    g = math.inf if math.isnan(g) else g  # inf * 0: a partial product overflowed
+    if not math.isfinite(g):
+        # A partial product overflowed.  L P / sigma^2 is finite (SystemParams
+        # checks it), so in this grouping only a true overflow gives inf, and
+        # |h2||h3| = 0 gives g = 0.
+        try:
+            g = (sys.spread * sys.snr_scale) * (ch.a2 * ch.a3) ** 2
+        except OverflowError:
+            g = math.inf
     return MrcStatistics(gain=g, noise_var=g)
 
 

@@ -25,9 +25,8 @@ from .bd_rate import (MIN_SAMPLES, PrecisionError, bd_rate, mi_monte_carlo, mrc_
                       mi_quadrature)
 from .constellation import equal_power_psk_amplitude, mask_points, mpsk_points
 from .phase_opt import optimal_phase, phase_period
-from .pt_rate import (_rate_bits, mask_rate_curve, max_pt_rate_ask, max_pt_rate_psk,
-                      mpsk_rate_curve, psk_optimal_offset, pt_rate_finite, pt_rate_no_bd,
-                      pt_rate_psk_infinite)
+from .pt_rate import (_rate_bits, max_pt_rate_ask, max_pt_rate_psk, psk_optimal_offset, pt_rate,
+                      pt_rate_no_bd, pt_rate_psk_infinite)
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_hash
 
 #: Equal-power ring amplitude in the infinite-order limit of the amplitude grid.
@@ -47,7 +46,7 @@ def _meta(scn: Scenario, command: str) -> list[str]:
 def cmd_rate(scn: Scenario, args) -> list[str]:
     sy, ch = scn.system, scn.channel()
     c = scn.build_constellation()
-    with_bd, without = pt_rate_finite(sy, ch, c), pt_rate_no_bd(sy, ch)
+    with_bd, without = pt_rate(sy, ch, c.points), pt_rate_no_bd(sy, ch)
     bd = bd_rate(sy, ch, c)
     lines = _meta(scn, "rate")
     lines.append("pt_rate_bits,no_bd_rate_bits,gain_bits,bd_rate_bits")
@@ -67,15 +66,15 @@ def cmd_phase_sweep(scn: Scenario, args) -> list[str]:
     if not (0.0 <= lo < hi <= limit):
         raise ScenarioError(f"sweep range [{lo}, {hi}) outside the base-phase "
                             f"domain [0, {limit:g})")
-    grid = np.linspace(lo, hi, args.grid or scn.sweep.steps, endpoint=False)
+    grid = np.linspace(lo, hi, scn.sweep.steps, endpoint=False)
     no_bd = _fmt(pt_rate_no_bd(sy, ch))
     sol = scn.optimal_phase()
     if scn.scheme == "mask":
-        rates = mask_rate_curve(sy, ch, M, grid)
+        rates = pt_rate(sy, ch, mask_points(M, grid))
         best = max_pt_rate_ask(sy, ch, M)
     else:
         alpha0 = scn.resolved_alpha0()
-        rates = mpsk_rate_curve(sy, ch, M, alpha0, grid)
+        rates = pt_rate(sy, ch, mpsk_points(M, alpha0, grid))
         best = max_pt_rate_psk(sy, ch, M, alpha0)
     lines = _meta(scn, "phase-sweep")
     lines.append(f"# scheme={scn.scheme} order={M}")
@@ -94,13 +93,12 @@ def cmd_ratio_sweep(scn: Scenario, args) -> list[str]:
         raise ScenarioError("ratio-sweep needs sweep.lo and sweep.hi")
     if not (0.0 < scn.sweep.lo < scn.sweep.hi):
         raise ScenarioError("ratio-sweep needs 0 < sweep.lo < sweep.hi")
-    steps = args.grid or scn.sweep.steps
-    if steps < 2:
+    if scn.sweep.steps < 2:
         raise ScenarioError("ratio-sweep needs at least 2 grid points")
     rho, a23 = scn.system.snr_scale, scn.channel().a23
     M = scn.order
     alpha0 = equal_power_psk_amplitude(M)  # equal average power per order
-    grid = np.linspace(scn.sweep.lo, scn.sweep.hi, steps)
+    grid = np.linspace(scn.sweep.lo, scn.sweep.hi, scn.sweep.steps)
     points = np.stack([mask_points(M, 0.0), mpsk_points(M, alpha0, psk_optimal_offset(M))])
 
     def optima(ratios):
@@ -192,7 +190,7 @@ def cmd_order_sweep(scn: Scenario, args) -> list[str]:
         # Anti-optimal base phase: half a symbol spacing off the optimum.
         opt_phase = optimal_phase("mpsk", M, theta0).phase_rad
         sub_phase = (opt_phase + math.pi / M) % phase_period("mpsk", M)
-        sub = float(mpsk_rate_curve(sy, ch, M, alpha0, np.array([sub_phase]))[0])
+        sub = pt_rate(sy, ch, mpsk_points(M, alpha0, sub_phase))
         lines.append(f"{M},{_fmt(ask)},{_fmt(psk)},{_fmt(sub)}")
     alpha_inf = scn.amplitude if isinstance(scn.amplitude, float) else _EQUAL_POWER_LIMIT
     lines.append(f"# psk_infinite_rate_bits={_fmt(pt_rate_psk_infinite(sy, ch, alpha_inf))}")
@@ -209,7 +207,7 @@ def cmd_optimize(scn: Scenario, args) -> list[str]:
                                 and bd_rate(sy, ch, c).value_bits >= floor)
     return [f"scheme={scn.scheme} order={scn.order} "
             f"optimal_phase_rad={_fmt(sol.phase_rad)} "
-            f"achieved_pt_rate_bits={_fmt(pt_rate_finite(sy, ch, c))} "
+            f"achieved_pt_rate_bits={_fmt(pt_rate(sy, ch, c.points))} "
             f"feasible={str(feasible).lower()} wrap_index={sol.wrap_index}"]
 
 
@@ -267,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scenario override, e.g. modulation.order=4 (repeatable)")
     # Each subcommand takes the common flags and only the others it reads.
     parsers = {name: sub.add_parser(name, parents=[common]) for name in _COMMANDS}
-    for name in ("phase-sweep", "ratio-sweep"):
-        parsers[name].add_argument("--grid", type=_at_least(1), help="sweep step count override")
     mi = parsers["mi"]
     mi.add_argument("--method", choices=("quadrature", "monte-carlo"), default="quadrature")
     mi.add_argument("--samples", type=_at_least(MIN_SAMPLES),

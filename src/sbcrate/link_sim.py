@@ -4,9 +4,9 @@ Primary symbols are circularly symmetric complex Gaussian; each device
 symbol holds its reflection coefficient over L primary symbols.  The
 receiver removes the (perfectly known) direct-path contribution and applies
 maximal ratio combining to the residual, reproducing the analytical
-combining statistic used by the rate analysis.  `combiner_outputs` returns
-that statistic for each simulated device symbol, and `empirical_bd_mi`
-estimates the device rate from it; both run the same chain, `_chain`.
+combining statistic used by the rate analysis.  `_chain` gives that
+statistic for each simulated device symbol, and `empirical_bd_mi` estimates
+the device rate from it, chunk by chunk.
 """
 
 from __future__ import annotations
@@ -40,28 +40,6 @@ class RngSpec:
         return np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed,
                                    spawn_key=(self.stream, *subkey)))
-
-
-def _warn_low_spread(L: int) -> None:
-    if L < LOW_SPREAD_WARNING:
-        warnings.warn(f"spreading factor L={L} is small; the combining model "
-                      f"assumes L >> 1", stacklevel=3)
-
-
-def combiner_outputs(sys: SystemParams, ch: ChannelTriple, c: Constellation,
-                     n_bd_symbols: int,
-                     rng: RngSpec | np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate n_bd_symbols device symbols through the link and the receiver.
-
-    Returns (indices, outputs): the 0-based constellation position of each
-    device symbol, and the combiner output for its L-sample span.  See
-    `_chain` for the channel and the receiver.
-    """
-    if n_bd_symbols < 1:
-        raise ValueError(f"n_bd_symbols must be >= 1, got {n_bd_symbols!r}")
-    _warn_low_spread(sys.spread)
-    gen = rng.generator() if isinstance(rng, RngSpec) else rng
-    return _chain(sys, ch, c, n_bd_symbols, gen, _Scratch())
 
 
 def _row_blocks(n_bd: int, L: int) -> list[slice]:
@@ -152,7 +130,9 @@ def empirical_bd_mi(sys: SystemParams, ch: ChannelTriple, c: Constellation,
     """
     if n_bd_symbols < MIN_SAMPLES:
         raise ValueError(f"n_bd_symbols must be >= {MIN_SAMPLES}, got {n_bd_symbols!r}")
-    _warn_low_spread(sys.spread)
+    if sys.spread < LOW_SPREAD_WARNING:
+        warnings.warn(f"spreading factor L={sys.spread} is small; the combining model "
+                      f"assumes L >> 1", stacklevel=2)
     g = mrc_statistics(sys, ch).gain
     points = np.asarray(c.points, dtype=complex)
     check_gain(g, float(np.abs(points).max()))

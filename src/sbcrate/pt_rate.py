@@ -3,7 +3,9 @@
 Finite modulation orders use the exact M-term average of log2(1 + SNR_m)
 over the equiprobable reflection states, evaluated by one broadcasting
 kernel on the direct form |h1 + h2 h3 Gamma_m|^2, which does not cancel when
-the direct and backscatter paths nearly do.  Infinite orders use closed forms: the
+the direct and backscatter paths nearly do.  `pt_rate` takes the points as a
+(..., M) array and gives one rate per row, so a single constellation and a
+whole phase curve are the same call.  Infinite orders use closed forms: the
 amplitude-keyed rate integrates the grid into a continuous uniform amplitude
 on [0, 1], the phase-keyed rate averages a continuous uniform phase over
 [0, 2pi).  All rates are bits per channel use.
@@ -15,7 +17,7 @@ import math
 import numpy as np
 
 from .channel import ChannelTriple, SystemParams
-from .constellation import Constellation, _check_order, mask_points, mpsk_points
+from .constellation import _check_order, mask_points, mpsk_points
 
 _LN2 = math.log(2.0)
 
@@ -34,9 +36,14 @@ def pt_rate_no_bd(sys: SystemParams, ch: ChannelTriple) -> float:
     return math.log1p(sys.snr_scale * ch.a1**2) / _LN2
 
 
-def pt_rate_finite(sys: SystemParams, ch: ChannelTriple, c: Constellation) -> float:
-    """Exact finite-order rate (1/M) sum_m log2(1 + P|h1 + h2 h3 Gamma_m|^2 / sigma^2)."""
-    return float(_rate_bits(sys.snr_scale, ch.h1, ch.h2 * ch.h3, np.asarray(c.points)))
+def pt_rate(sys: SystemParams, ch: ChannelTriple, points) -> np.ndarray:
+    """Exact finite-order rate (1/M) sum_m log2(1 + P|h1 + h2 h3 Gamma_m|^2 / sigma^2).
+
+    One rate per row of a (..., M) array of reflection coefficients: a
+    constellation's `points` give one rate, `mask_points` or `mpsk_points` over
+    an array of phases give the rate curve at those phases.
+    """
+    return _rate_bits(sys.snr_scale, ch.h1, ch.h2 * ch.h3, np.asarray(points))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +114,7 @@ def pt_rate_psk_infinite(sys: SystemParams, ch: ChannelTriple, alpha0: float) ->
 
 
 # ---------------------------------------------------------------------------
-# Optimal-phase maxima and vectorized phase curves
+# Optimal-phase maxima
 # ---------------------------------------------------------------------------
 
 def psk_optimal_offset(M: int) -> float:
@@ -142,17 +149,3 @@ def max_pt_rate_psk(sys: SystemParams, ch: ChannelTriple, M: int, alpha0: float)
     """
     points = mpsk_points(M, alpha0, psk_optimal_offset(M))
     return float(_rate_bits(sys.snr_scale, ch.a1, ch.a23, points))
-
-
-def mask_rate_curve(sys: SystemParams, ch: ChannelTriple, M: int,
-                    phases: np.ndarray) -> np.ndarray:
-    """Finite-order amplitude-keyed rate evaluated at an array of common phases."""
-    gammas = mask_points(M, np.atleast_1d(phases))
-    return _rate_bits(sys.snr_scale, ch.h1, ch.h2 * ch.h3, gammas)
-
-
-def mpsk_rate_curve(sys: SystemParams, ch: ChannelTriple, M: int, alpha0: float,
-                    phases: np.ndarray) -> np.ndarray:
-    """Finite-order phase-keyed rate evaluated at an array of base phases."""
-    gammas = mpsk_points(M, alpha0, np.atleast_1d(phases))
-    return _rate_bits(sys.snr_scale, ch.h1, ch.h2 * ch.h3, gammas)

@@ -78,6 +78,12 @@ DEFAULT_SCENARIO: dict = {
 }
 
 
+#: The largest modulation order a scenario may name, as modulation.order or
+#: as the order sweep's sweep.hi.  The device-rate engines take time about
+#: quadratic in the order and the rate curves memory linear in it.
+MAX_ORDER = 1024
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     variable: str
@@ -91,6 +97,8 @@ class SweepSpec:
                                 f"channel_ratio, order; got {self.variable!r}")
         if isinstance(self.steps, bool) or not (isinstance(self.steps, int) and self.steps >= 1):
             raise ScenarioError(f"sweep.steps must be an integer >= 1, got {self.steps!r}")
+        if self.variable == "order" and self.hi is not None and self.hi > MAX_ORDER:
+            raise ScenarioError(f"sweep.hi = {self.hi!r} exceeds the largest order, {MAX_ORDER}")
 
 
 @dataclass(frozen=True)
@@ -276,6 +284,8 @@ def parse_scenario(raw: dict) -> Scenario:
     order = mo.get("order")
     if not (isinstance(order, int) and not isinstance(order, bool) and order >= 2):
         raise ScenarioError(f"modulation.order must be an integer >= 2, got {order!r}")
+    if order > MAX_ORDER:
+        raise ScenarioError(f"modulation.order = {order!r} exceeds the largest order, {MAX_ORDER}")
     amplitude = mo.get("amplitude")
     if amplitude is not None and amplitude != "equal-power":
         amplitude = _number(amplitude, "modulation.amplitude")

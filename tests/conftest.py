@@ -1,7 +1,9 @@
-"""Shared fixtures: the default operating point used across the suite."""
+"""Shared fixtures, the default operating point used across the suite, and helpers."""
 
 import pytest
 
+from sbcrate import link_sim
+from sbcrate.bd_rate import _Scratch
 from sbcrate.channel import ChannelTriple, PathLossModel, SystemParams
 from sbcrate.scenario import load_scenario
 
@@ -39,6 +41,15 @@ def channel_from_polar(a1: float, a2: float, a3: float,
     """Construct a channel triple directly from amplitudes and phases."""
     from cmath import exp
     return ChannelTriple(h1=a1 * exp(1j * t1), h2=a2 * exp(1j * t2), h3=a3 * exp(1j * t3))
+
+
+def combiner_outputs(sys, ch, c, n_bd_symbols: int, rng: link_sim.RngSpec, *subkey: int):
+    """The simulated link for n_bd_symbols device symbols: (indices, combiner outputs).
+
+    One run of the simulator's chain on the generator `rng.generator(*subkey)`;
+    `empirical_bd_mi` runs its chunk i on `rng.generator(i)`.
+    """
+    return link_sim._chain(sys, ch, c, n_bd_symbols, rng.generator(*subkey), _Scratch())
 
 
 def assert_close(actual: float, expected: float, rel: float = 0.0, abs_: float = 0.0):

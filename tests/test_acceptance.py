@@ -14,13 +14,12 @@ from scipy.integrate import quad
 from sbcrate.bd_rate import MrcStatistics, bd_rate, mi_monte_carlo, mi_quadrature, mrc_statistics
 from sbcrate.channel import ChannelTriple, SystemParams
 from sbcrate.cli import main as cli_main
-from sbcrate.constellation import mask_constellation, mpsk_constellation
-from sbcrate.link_sim import RngSpec, combiner_outputs, empirical_bd_mi
+from sbcrate.constellation import mask_constellation, mask_points, mpsk_constellation, mpsk_points
+from sbcrate.link_sim import RngSpec, empirical_bd_mi
 from sbcrate.phase_opt import optimal_phase
-from sbcrate.pt_rate import (mask_rate_curve, mpsk_rate_curve, pt_rate_ask_infinite,
-                             pt_rate_finite, pt_rate_no_bd, pt_rate_psk_infinite)
+from sbcrate.pt_rate import pt_rate, pt_rate_ask_infinite, pt_rate_no_bd, pt_rate_psk_infinite
 
-from .conftest import channel_from_polar
+from .conftest import channel_from_polar, combiner_outputs
 from .grid_oracle import grid_search_phase
 
 TWO_PI = 2.0 * math.pi
@@ -95,7 +94,7 @@ def test_criterion_03_mask_optimal_phase_vs_grid():
         ch = random_channel(rng)
         closed = optimal_phase("mask", 2, ch.theta0).phase_rad
         for m in (2, 4, 8, 16):
-            obj = lambda p: mask_rate_curve(SECTION_V_SYS, ch, m, p)
+            obj = lambda p: pt_rate(SECTION_V_SYS, ch, mask_points(m, p))
             grid_phi, grid_val = grid_search_phase(obj, 0.0, TWO_PI, grid_points)
             worst_dist = max(worst_dist, circular_distance(closed, grid_phi, TWO_PI))
             closed_val = float(obj(np.array([closed]))[0])
@@ -124,7 +123,7 @@ def test_criterion_04_psk_optimal_phase_vs_grid_including_odd_orders():
         for m in (2, 4, 8, 16):
             period = TWO_PI / m
             closed = optimal_phase("mpsk", m, ch.theta0).phase_rad
-            obj = lambda p: mpsk_rate_curve(SECTION_V_SYS, ch, m, alpha0, p)
+            obj = lambda p: pt_rate(SECTION_V_SYS, ch, mpsk_points(m, alpha0, p))
             grid = np.linspace(0.0, period, grid_points, endpoint=False)
             vals = obj(grid)
             grid_phi = float(grid[int(np.argmax(vals))])
@@ -139,7 +138,7 @@ def test_criterion_04_psk_optimal_phase_vs_grid_including_odd_orders():
             for m in (3, 5, 6):
                 period = TWO_PI / m
                 closed = optimal_phase("mpsk", m, ch.theta0).phase_rad
-                obj = lambda p: mpsk_rate_curve(SECTION_V_SYS, ch, m, alpha0, p)
+                obj = lambda p: pt_rate(SECTION_V_SYS, ch, mpsk_points(m, alpha0, p))
                 grid_phi, _ = grid_search_phase(obj, 0.0, period, grid_points)
                 vals = obj(np.linspace(0.0, period, grid_points, endpoint=False))
                 if float(vals.max() - vals.min()) < resolvable_floor:
@@ -166,8 +165,8 @@ def test_criterion_05_mask_gain_signs_at_aligned_phases():
         rp = pt_rate_no_bd(sys, ch)
         theta0 = ch.theta0
         for m in (2, 4, 8):
-            anti = pt_rate_finite(sys, ch, mask_constellation(m, (math.pi - theta0) % TWO_PI))
-            best = pt_rate_finite(sys, ch, mask_constellation(m, (-theta0) % TWO_PI))
+            anti = pt_rate(sys, ch, mask_constellation(m, (math.pi - theta0) % TWO_PI).points)
+            best = pt_rate(sys, ch, mask_constellation(m, (-theta0) % TWO_PI).points)
             all_ok &= (anti - rp) < 0.0 and (best - rp) > 0.0
     report(5, all_ok, "amplitude-keyed gain signs with |h1| = 2|h2||h3|: negative at "
                       "the anti-aligned phase, positive at the aligned phase "
@@ -183,10 +182,10 @@ def test_criterion_06_psk_gain_sign_witnesses():
         ch = channel_from_polar(a1, a1 / alpha0, 1.0)   # theta0 = 0
         rp = pt_rate_no_bd(sys, ch)
         for m in (4, 8):
-            gain = pt_rate_finite(sys, ch, mpsk_constellation(m, alpha0, 0.0)) - rp
+            gain = pt_rate(sys, ch, mpsk_constellation(m, alpha0, 0.0).points) - rp
             all_ok &= gain < 0.0
             details.append(f"M={m},a0={alpha0}: {gain:+.3f}")
-        gain2 = pt_rate_finite(sys, ch, mpsk_constellation(2, alpha0, math.pi / 2)) - rp
+        gain2 = pt_rate(sys, ch, mpsk_constellation(2, alpha0, math.pi / 2).points) - rp
         all_ok &= gain2 > 0.0
         details.append(f"M=2 quarter-turn,a0={alpha0}: {gain2:+.3f}")
     report(6, all_ok, f"phase-keyed gain witnesses at b=1e4, |h1|=a0|h2||h3|: "
@@ -327,7 +326,7 @@ def test_criterion_11_figure_level_behavior(tmp_path):
     ]
     for scheme, m, extra in sweeps:
         out = tmp_path / f"sweep_{scheme}_{m}.csv"
-        code = cli_main(["phase-sweep", "--grid", "2000",
+        code = cli_main(["phase-sweep", "--override", "sweep.steps=2000",
                          "--override", f"modulation.scheme={scheme}",
                          "--override", f"modulation.order={m}",
                          *extra, "--out", str(out)])

@@ -211,9 +211,17 @@ class TestMrcStatistics:
             mi_quadrature(mask_constellation(2, 0.0), MrcStatistics(math.inf, math.inf))
 
     def test_an_overflowed_product_gives_an_infinite_gain(self):
-        # spread * power_w * |h2|^2 overflows and |h3| = 0: inf * 0 is nan.
+        # spread * power_w * |h2|^2 overflows, and so does the true g = 1e320.
         sys = SystemParams(power_w=1e300, noise_w=1.0, spread=1)
-        assert mrc_statistics(sys, channel_from_polar(1.0, 1e10, 0.0)).gain == math.inf
+        assert mrc_statistics(sys, channel_from_polar(1.0, 1e10, 1.0)).gain == math.inf
+
+    @pytest.mark.parametrize("a3, gain", [(0.0, 0.0), (1e-10, 1e290)])
+    def test_an_overflowed_partial_product_is_regrouped(self, a3, gain):
+        # spread * power_w * |h2|^2 = 1e320 overflows; L P / sigma^2 (|h2||h3|)^2
+        # does not, and a dead link (|h3| = 0) gives g = 0, not nan or inf.
+        sys = SystemParams(power_w=1e300, noise_w=1e10, spread=1)
+        assert mrc_statistics(sys, channel_from_polar(1.0, 1e10, a3)).gain == pytest.approx(
+            gain, rel=1e-15)
 
 
 class TestLogRatioKernel:

@@ -148,14 +148,22 @@ class TestRateCommand:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("scenario error: invalid system: gain g = 4.8")
 
+    # spread * power_w * |h2|^2 overflows; g is L P / sigma^2 (|h2||h3|)^2 all the same.
+    HUGE_H2 = ["--override", "modulation.base_phase=0.1", "--override", "system.noise_dbm=30",
+               "--override", "system.spread=1", "--override", "system.power_w=1e300",
+               "--override", "fading.l2=[1e100,0.0]"]
+
     def test_an_overflowed_coupling_exits_2_naming_system(self, capsys):
-        # spread * power_w * |h2|^2 overflows while h3 = 0: the product is nan.
-        code = main(["mi", "--override", "modulation.base_phase=0.1",
-                     "--override", "system.noise_dbm=30", "--override", "system.spread=1",
-                     "--override", "system.power_w=1e300", "--override", "fading.l2=[1e100,0.0]",
-                     "--override", "fading.l3=[0,0]"])
+        code = main(["mi", *self.HUGE_H2, "--override", "fading.l3=[1,0]"])
         assert code == 2
         assert capsys.readouterr().err.startswith("scenario error: invalid system: gain g = inf")
+
+    def test_an_overflowed_partial_product_times_a_dead_link_gives_rate_0(self, tmp_path):
+        # h3 = 0: the device is never heard, whatever |h2|.
+        code, text = run_cli(tmp_path, "mi", *self.HUGE_H2, "--override", "fading.l3=[0,0]")
+        assert code == 0
+        _, rows, header = parse_csv(text)
+        assert float(rows[0][header.index("value_bits")]) == 0.0
 
     @pytest.mark.parametrize("argv, column", [
         (["rate"], "bd_rate_bits"), (["mi"], "value_bits"),
@@ -214,6 +222,11 @@ class TestRateCommand:
             # |h2|^2 beyond the float range, so the coupling g is too.
             ("fading.l2=[1e200,0]", "invalid system: gain g = inf at |Gamma| <= 1.0 overflows "
                                     "the log-ratio kernel"),
+            ("sweep.steps=0", "sweep.steps must be an integer >= 1, got 0"),
+            # Orders are bounded before anything of their size is allocated.
+            ("modulation.order=1025", "modulation.order = 1025 exceeds the largest order, 1024"),
+            ('sweep={"variable":"order","lo":2,"hi":1e300,"steps":1}',
+             "sweep.hi = 1e+300 exceeds the largest order, 1024"),
         ]] + [
         pytest.param(f"system.spread={10**400}",
                      f"invalid system: spread * power_w / noise_w must be finite, got "
@@ -241,7 +254,7 @@ class TestRateCommand:
 
 class TestPhaseSweep:
     def test_sweep_rows_and_optimum_comment(self, tmp_path):
-        code, text = run_cli(tmp_path, "phase-sweep", "--grid", "64")
+        code, text = run_cli(tmp_path, "phase-sweep", "--override", "sweep.steps=64")
         assert code == 0
         meta, rows, header = parse_csv(text)
         assert header == ["phase_rad", "pt_rate_bits", "no_bd_rate_bits"]
@@ -270,7 +283,8 @@ class TestPhaseSweep:
         scn = write_scenario_file(tmp_path, [
             "modulation.scheme=mpsk", "modulation.order=4", "modulation.amplitude=0.9",
         ])
-        code, text = run_cli(tmp_path, "phase-sweep", "--scenario", str(scn), "--grid", "32")
+        code, text = run_cli(tmp_path, "phase-sweep", "--scenario", str(scn),
+                             "--override", "sweep.steps=32")
         assert code == 0
         _, rows, _ = parse_csv(text)
         phases = [float(r[0]) for r in rows]
@@ -589,7 +603,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, flag", [
         *((c, "--seed") for c in ("rate", "phase-sweep", "ratio-sweep", "order-sweep",
                                   "optimize")),
-        *((c, "--grid") for c in ("rate", "order-sweep", "optimize", "mi")),
+        *((c, "--grid") for c in ("rate", "phase-sweep", "ratio-sweep", "order-sweep",
+                                  "optimize", "mi")),
     ])
     def test_flag_a_subcommand_does_not_read_is_an_argparse_error(self, tmp_path, capsys,
                                                                   command, flag):
@@ -620,20 +635,10 @@ class TestExitCodes:
         assert (f"argument {flag}: must be an integer >= {floor}, got {value!r}"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("command", ["phase-sweep", "ratio-sweep"])
-    @pytest.mark.parametrize("grid", ["0", "-3", "2.5"])
-    def test_grid_below_one_is_an_argparse_error_naming_the_flag(self, tmp_path, capsys,
-                                                                 command, grid):
-        with pytest.raises(SystemExit) as info:
-            run_cli(tmp_path, command, "--grid", grid)
-        assert info.value.code == 2
-        assert "--grid" in capsys.readouterr().err
-        assert not (tmp_path / "out.csv").exists()
-
 
 class TestDeterminism:
     def test_identical_runs_are_byte_identical(self, tmp_path):
-        args = ["phase-sweep", "--grid", "50",
+        args = ["phase-sweep", "--override", "sweep.steps=50",
                 "--override", "modulation.order=4"]
         _, first = run_cli(tmp_path, *args, name="first.csv")
         _, second = run_cli(tmp_path, *args, name="second.csv")
@@ -646,8 +651,9 @@ class TestDeterminism:
             main(["frobnicate"])
         assert main(["rate", "--override", "system.turbo=9"]) == 2
         capsys.readouterr()
-        overridden = ["phase-sweep", "--grid", "50", "--override", "modulation.order=4"]
-        plain = ["phase-sweep", "--grid", "50"]
+        overridden = ["phase-sweep", "--override", "sweep.steps=50",
+                      "--override", "modulation.order=4"]
+        plain = ["phase-sweep", "--override", "sweep.steps=50"]
         texts = []
         for argv in (overridden, plain):
             assert main(argv) == 0
@@ -661,7 +667,7 @@ class TestDeterminism:
         assert "# scheme=mask order=2" in texts[1]
 
     @pytest.mark.parametrize("argv", [
-        ["rate"], ["phase-sweep", "--grid", "8"], ["optimize"], ["mi"],
+        ["rate"], ["phase-sweep", "--override", "sweep.steps=8"], ["optimize"], ["mi"],
         ["ratio-sweep", "--override",
          'sweep={"variable":"channel_ratio","lo":0.1,"hi":1.0,"steps":4}'],
         ["order-sweep", "--override", 'sweep={"variable":"order","lo":2,"hi":8,"steps":1}'],

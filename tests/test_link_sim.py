@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from sbcrate import link_sim
-from sbcrate.bd_rate import _KERNEL_BLOCK, _log_ratio_bits, mi_quadrature, mrc_statistics
+from sbcrate.bd_rate import (_KERNEL_BLOCK, MIN_SAMPLES, _log_ratio_bits, mi_quadrature,
+                             mrc_statistics)
 from sbcrate.channel import ChannelTriple, SystemParams
 from sbcrate.constellation import mask_constellation, mpsk_constellation
-from sbcrate.link_sim import RngSpec, combiner_outputs, empirical_bd_mi
+from sbcrate.link_sim import RngSpec, empirical_bd_mi
 
-from .conftest import channel_from_polar
+from .conftest import channel_from_polar, combiner_outputs
 
 
 def chain_oracle(sys, ch, c, n_bd, gen):
@@ -35,7 +36,7 @@ def chain_oracle(sys, ch, c, n_bd, gen):
 
 
 class TestSimulateBlock:
-    """The simulated link as `combiner_outputs` returns it."""
+    """The simulated link as the simulator's chain gives it."""
 
     def test_fixed_rng_spec_is_bit_identical(self, default_channel, default_system):
         c = mask_constellation(4, 0.0)
@@ -53,14 +54,9 @@ class TestSimulateBlock:
 
     def test_low_spread_warns(self, default_channel):
         sys = SystemParams(power_w=0.05, noise_w=1e-13, spread=4)
-        with pytest.warns(UserWarning, match="spreading factor"):
-            combiner_outputs(sys, default_channel, mask_constellation(2, 0.0), 4, RngSpec(0))
-
-    @pytest.mark.parametrize("n_bd", [0, -1])
-    def test_no_device_symbols_is_refused(self, default_channel, default_system, n_bd):
-        with pytest.raises(ValueError, match="n_bd_symbols"):
-            combiner_outputs(default_system, default_channel, mask_constellation(2, 0.0),
-                             n_bd, RngSpec(0))
+        with pytest.warns(UserWarning, match="spreading factor L=4 is small"):
+            empirical_bd_mi(sys, default_channel, mask_constellation(2, 0.0), MIN_SAMPLES,
+                            RngSpec(0))
 
 
 def assert_chain_matches_oracle(ch, L: int, n_bd: int) -> None:
@@ -103,7 +99,7 @@ def test_streamed_estimate_matches_receiver_on_simulated_blocks(default_channel,
     total = total_sq = 0.0
     for index, start in enumerate(range(0, n, link_sim._SIM_CHUNK)):
         idx, y = combiner_outputs(sys, default_channel, c, min(link_sim._SIM_CHUNK, n - start),
-                                  spec.generator(index))
+                                  spec, index)
         v = _log_ratio_bits(y.real, y.imag, idx, points, g)
         total += float(v.sum())
         total_sq += float((v * v).sum())

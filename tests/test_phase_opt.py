@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sbcrate.channel import SystemParams
 from sbcrate.phase_opt import optimal_phase, phase_period
-from sbcrate.pt_rate import mask_rate_curve, max_pt_rate_psk, mpsk_rate_curve, pt_rate_finite
-from sbcrate.constellation import mask_constellation
+from sbcrate.pt_rate import max_pt_rate_psk, pt_rate
+from sbcrate.constellation import mask_constellation, mask_points, mpsk_points
 
 from .conftest import channel_from_polar
 from .grid_oracle import grid_search_phase
@@ -47,7 +47,7 @@ class TestOptimalPhaseAsk:
         # One phase maximizes the rate for every order simultaneously.
         phi = optimal_phase("mask", 2, default_channel.theta0).phase_rad
         for m in (2, 4, 8, 16):
-            obj = lambda p: mask_rate_curve(default_system, default_channel, m, p)
+            obj = lambda p: pt_rate(default_system, default_channel, mask_points(m, p))
             grid_phi, grid_val = grid_search_phase(obj, 0.0, TWO_PI, 10_000)
             assert circular_distance(phi, grid_phi, TWO_PI) <= TWO_PI / 10_000
             assert float(obj(np.array([phi]))[0]) >= grid_val - 1e-10
@@ -63,7 +63,7 @@ class TestOptimalPhaseAsk:
                                     *rng.uniform(0, TWO_PI, size=3))
             m = int(rng.choice([2, 4, 8]))
             phi = optimal_phase("mask", m, ch.theta0).phase_rad
-            gain = (pt_rate_finite(sys, ch, mask_constellation(m, phi))
+            gain = (pt_rate(sys, ch, mask_constellation(m, phi).points)
                     - pt_rate_no_bd(sys, ch))
             assert gain > 0.0
 
@@ -89,7 +89,7 @@ class TestOptimalPhasePsk:
     def test_matches_grid_search(self, default_system, default_channel):
         for m in (2, 4, 8, 16):
             sol = optimal_phase("mpsk", m, default_channel.theta0)
-            obj = lambda p: mpsk_rate_curve(default_system, default_channel, m, 0.9, p)
+            obj = lambda p: pt_rate(default_system, default_channel, mpsk_points(m, 0.9, p))
             period = TWO_PI / m
             grid_phi, grid_val = grid_search_phase(obj, 0.0, period, 10_000)
             assert circular_distance(sol.phase_rad, grid_phi, period) <= period / 10_000
@@ -109,12 +109,12 @@ class TestOptimalPhasePsk:
             for m in range(3, 17):
                 period = TWO_PI / m
                 grid = np.linspace(0.0, period, grid_points, endpoint=False)
-                vals = mpsk_rate_curve(sys, ch, m, alpha0, grid)
+                vals = pt_rate(sys, ch, mpsk_points(m, alpha0, grid))
                 closed = optimal_phase("mpsk", m, ch.theta0).phase_rad
                 best = max_pt_rate_psk(sys, ch, m, alpha0)
                 assert best >= vals.max() - 1e-10
                 assert best == pytest.approx(
-                    float(mpsk_rate_curve(sys, ch, m, alpha0, [closed])[0]), abs=1e-12)
+                    float(pt_rate(sys, ch, mpsk_points(m, alpha0, [closed]))[0]), abs=1e-12)
                 if vals.max() - vals.min() >= 1e-7:
                     grid_phi = float(grid[int(np.argmax(vals))])
                     assert circular_distance(closed, grid_phi, period) <= period / grid_points
@@ -173,7 +173,7 @@ class TestGridSearch:
             ch = channel_from_polar(*10 ** rng.uniform(-6, -3, size=3),
                                     *rng.uniform(0, TWO_PI, size=3))
             m = int(rng.choice([2, 4, 8]))
-            obj = lambda p: mask_rate_curve(sys, ch, m, p)
+            obj = lambda p: pt_rate(sys, ch, mask_points(m, p))
             grid_phi, _ = grid_search_phase(obj, 0.0, TWO_PI, 10_000)
             closed = optimal_phase("mask", m, ch.theta0).phase_rad
             assert circular_distance(grid_phi, closed, TWO_PI) <= TWO_PI / 10_000

@@ -6,11 +6,10 @@ import pytest
 from scipy.integrate import quad
 
 from sbcrate.channel import ChannelTriple, SystemParams
-from sbcrate.constellation import (explicit_constellation, mask_constellation,
-                                   mpsk_constellation)
+from sbcrate.constellation import (explicit_constellation, mask_constellation, mask_points,
+                                   mpsk_constellation, mpsk_points)
 from sbcrate.phase_opt import optimal_phase
-from sbcrate.pt_rate import (mask_rate_curve, max_pt_rate_ask, max_pt_rate_psk,
-                             mpsk_rate_curve, pt_rate_ask_infinite, pt_rate_finite,
+from sbcrate.pt_rate import (max_pt_rate_ask, max_pt_rate_psk, pt_rate, pt_rate_ask_infinite,
                              pt_rate_no_bd, pt_rate_psk_infinite)
 
 from .conftest import channel_from_polar
@@ -81,7 +80,7 @@ class TestNoBdRate:
 class TestFiniteRate:
     def test_all_zero_points_reduce_to_baseline(self, default_system, default_channel):
         c = explicit_constellation([0j, 0j, 0j])
-        assert pt_rate_finite(default_system, default_channel, c) == pytest.approx(
+        assert pt_rate(default_system, default_channel, c.points) == pytest.approx(
             pt_rate_no_bd(default_system, default_channel), rel=1e-15)
 
     def test_binary_aligned_two_term_form(self):
@@ -91,7 +90,7 @@ class TestFiniteRate:
         sys = SystemParams(power_w=2.0, noise_w=0.25, spread=1)
         rho = sys.snr_scale
         expected = 0.5 * (math.log2(1 + rho * 4.0) + math.log2(1 + rho * (2.0 + 0.75) ** 2))
-        got = pt_rate_finite(sys, ch, mask_constellation(2, 0.0))
+        got = pt_rate(sys, ch, mask_constellation(2, 0.0).points)
         assert got == pytest.approx(expected, rel=1e-14)
 
     def test_direct_matches_cosine_expansion(self):
@@ -107,14 +106,14 @@ class TestFiniteRate:
                 m = int(rng.integers(2, 17))
                 c = mpsk_constellation(m, float(rng.uniform(0.05, 1.0)),
                                        float(rng.uniform(0, TWO_PI / m)))
-            direct = pt_rate_finite(sys, ch, c)
+            direct = pt_rate(sys, ch, c.points)
             expanded = pt_rate_finite_expanded(sys, ch, c)
             assert abs(direct - expanded) <= 1e-12 * max(abs(direct), 1.0)
 
     def test_rate_gain_packaging(self, default_system, default_channel):
-        # The `rate` command's gain is pt_rate_finite - pt_rate_no_bd; a
+        # The `rate` command's gain is pt_rate - pt_rate_no_bd; a
         # device that reflects nothing gains nothing.
-        silent = pt_rate_finite(default_system, default_channel, explicit_constellation([0j, 0j]))
+        silent = pt_rate(default_system, default_channel, explicit_constellation([0j, 0j]).points)
         assert silent == pytest.approx(pt_rate_no_bd(default_system, default_channel), abs=1e-12)
 
     def test_aligned_binary_gain_signs(self):
@@ -124,8 +123,8 @@ class TestFiniteRate:
         sys = SystemParams(power_w=1.0, noise_w=0.1, spread=1)
         no_bd = pt_rate_no_bd(sys, ch)
         for m in (2, 4, 8):
-            assert pt_rate_finite(sys, ch, mask_constellation(m, math.pi)) < no_bd
-            assert pt_rate_finite(sys, ch, mask_constellation(m, 0.0)) > no_bd
+            assert pt_rate(sys, ch, mask_constellation(m, math.pi).points) < no_bd
+            assert pt_rate(sys, ch, mask_constellation(m, 0.0).points) > no_bd
 
 
 class TestAskInfinite:
@@ -254,7 +253,7 @@ class TestMaxRates:
                                     *rng.uniform(0, TWO_PI, size=3))
             m = int(rng.integers(2, 17))
             phi = optimal_phase("mask", m, ch.theta0).phase_rad
-            direct = pt_rate_finite(sys, ch, mask_constellation(m, phi))
+            direct = pt_rate(sys, ch, mask_constellation(m, phi).points)
             assert max_pt_rate_ask(sys, ch, m) == pytest.approx(direct, rel=1e-12)
 
     def test_ask_dead_backscatter_is_baseline(self):
@@ -277,7 +276,7 @@ class TestMaxRates:
             m = int(rng.integers(2, 17))
             alpha0 = float(rng.uniform(0.1, 1.0))
             phi = optimal_phase("mpsk", m, ch.theta0).phase_rad
-            direct = pt_rate_finite(sys, ch, mpsk_constellation(m, alpha0, phi))
+            direct = pt_rate(sys, ch, mpsk_constellation(m, alpha0, phi).points)
             assert max_pt_rate_psk(sys, ch, m, alpha0) == pytest.approx(direct, rel=1e-12)
 
     def test_psk_zero_amplitude_is_baseline(self, default_system, default_channel):
@@ -301,8 +300,8 @@ class TestPhaseKeyingInvariances:
         shift = TWO_PI / m
         ch_b = channel_from_polar(2e-4, 1e-3, 2e-3, 0.0, 0.9 + shift, 0.4)
         c = mpsk_constellation(m, alpha0, phi0)
-        assert pt_rate_finite(sys, ch_a, c) == pytest.approx(
-            pt_rate_finite(sys, ch_b, c), rel=1e-12)
+        assert pt_rate(sys, ch_a, c.points) == pytest.approx(
+            pt_rate(sys, ch_b, c.points), rel=1e-12)
         assert pt_rate_psk_infinite(sys, ch_a, alpha0) == pytest.approx(
             pt_rate_psk_infinite(sys, ch_b, alpha0), rel=1e-12)
 
@@ -316,26 +315,32 @@ class TestPhaseKeyingInvariances:
         a23 = a1 / alpha0
         ch = channel_from_polar(a1, a23 / 100.0, 100.0)  # theta0 = 0
         rp = pt_rate_no_bd(sys, ch)
-        aligned = pt_rate_finite(sys, ch, mpsk_constellation(4, alpha0, 0.0))
+        aligned = pt_rate(sys, ch, mpsk_constellation(4, alpha0, 0.0).points)
         assert aligned < rp
-        quarter = pt_rate_finite(sys, ch, mpsk_constellation(2, alpha0, math.pi / 2))
+        quarter = pt_rate(sys, ch, mpsk_constellation(2, alpha0, math.pi / 2).points)
         assert quarter > rp
 
 
 class TestRateCurves:
+    """pt_rate on a (P, M) array of points gives the P one-row calls bit for bit."""
+
+    # Orders whose rows do and do not fill whole SIMD registers, so a row's
+    # points sit in other lanes in the whole array than in its own call.
+    ORDERS = (2, 3, 4, 7, 8, 33, 256)
+
+    @staticmethod
+    def assert_rows_match(sys, ch, points):
+        curve = pt_rate(sys, ch, points)
+        assert curve.shape == points.shape[:-1]
+        rows = np.array([pt_rate(sys, ch, row) for row in points])
+        assert curve.tobytes() == rows.tobytes()
+
     def test_mask_curve_matches_pointwise_rates(self, default_system, default_channel):
-        phases = np.linspace(0, TWO_PI, 16, endpoint=False)
-        curve = mask_rate_curve(default_system, default_channel, 4, phases)
-        for phi, r in zip(phases, curve):
-            direct = pt_rate_finite(default_system, default_channel,
-                                    mask_constellation(4, float(phi)))
-            assert r == pytest.approx(direct, rel=1e-12)
+        for m in self.ORDERS:
+            phases = np.linspace(0, TWO_PI, 61, endpoint=False)
+            self.assert_rows_match(default_system, default_channel, mask_points(m, phases))
 
     def test_mpsk_curve_matches_pointwise_rates(self, default_system, default_channel):
-        m = 4
-        phases = np.linspace(0, TWO_PI / m, 16, endpoint=False)
-        curve = mpsk_rate_curve(default_system, default_channel, m, 0.9, phases)
-        for phi, r in zip(phases, curve):
-            direct = pt_rate_finite(default_system, default_channel,
-                                    mpsk_constellation(m, 0.9, float(phi)))
-            assert r == pytest.approx(direct, rel=1e-12)
+        for m in self.ORDERS:
+            phases = np.linspace(0, TWO_PI / m, 61, endpoint=False)
+            self.assert_rows_match(default_system, default_channel, mpsk_points(m, 0.9, phases))
