@@ -1,8 +1,9 @@
 """Scenario-driven command line emitting diff-friendly CSV artifacts.
 
 Subcommands: `rate`, `phase-sweep`, `ratio-sweep`, `order-sweep`, `optimize`,
-`mi`.  Every run is a pure function of the scenario file plus flags: rows
-are emitted in grid order, floats at full precision, metadata in leading
+`mi`.  Every run is a pure function of the scenario, which the `# scenario=`
+row hashes, and of `mi --samples`, which its `# seed= samples=` row records:
+rows are emitted in grid order, floats at full precision, metadata in leading
 `#` rows, so identical inputs give byte-identical outputs.  Exit codes: 0 success,
 2 a bad flag or `ScenarioError`, 3 `PrecisionError`; other exceptions propagate.
 
@@ -31,8 +32,6 @@ from .scenario import Scenario, ScenarioError, load_scenario, scenario_hash
 
 #: Equal-power ring amplitude in the infinite-order limit of the amplitude grid.
 _EQUAL_POWER_LIMIT = math.sqrt(1.0 / 3.0)
-#: Monte Carlo sample count of `mi` when --samples is not given.
-_MC_SAMPLES = 100_000
 
 
 def _fmt(x: float) -> str:
@@ -212,16 +211,13 @@ def cmd_optimize(scn: Scenario, args) -> list[str]:
 
 
 def cmd_mi(scn: Scenario, args) -> list[str]:
-    sy, ch = scn.system, scn.channel()
-    c = scn.build_constellation()
+    c, stats = scn.build_constellation(), mrc_statistics(scn.system, scn.channel())
     lines = _meta(scn, "mi")
-    if args.method == "monte-carlo":
-        seed = scn.seed if args.seed is None else args.seed
-        samples = args.samples or _MC_SAMPLES
-        est = mi_monte_carlo(c, mrc_statistics(sy, ch), samples=samples, seed=seed)
-        lines.append(f"# seed={seed} samples={samples}")
+    if args.samples is None:
+        est = mi_quadrature(c, stats)
     else:
-        est = mi_quadrature(c, mrc_statistics(sy, ch))
+        est = mi_monte_carlo(c, stats, samples=args.samples, seed=scn.seed)
+        lines.append(f"# seed={scn.seed} samples={args.samples}")
     lines.append("value_bits,std_error_bits,method")
     lines.append(f"{_fmt(est.value_bits)},{_fmt(est.std_error_bits)},{est.method}")
     return lines
@@ -237,13 +233,11 @@ _COMMANDS = {
 }
 
 
-def _at_least(n: int):
-    """argparse type of a decimal integer >= n; argparse's error names the flag."""
-    def parse(text: str) -> int:
-        if not text.isdecimal() or int(text) < n:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {n}, got {text!r}")
-        return int(text)
-    return parse
+def _sample_count(text: str) -> int:
+    """argparse type of a decimal integer >= MIN_SAMPLES; argparse's error names the flag."""
+    if not text.isdecimal() or int(text) < MIN_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {MIN_SAMPLES}, got {text!r}")
+    return int(text)
 
 
 @functools.cache
@@ -265,21 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scenario override, e.g. modulation.order=4 (repeatable)")
     # Each subcommand takes the common flags and only the others it reads.
     parsers = {name: sub.add_parser(name, parents=[common]) for name in _COMMANDS}
-    mi = parsers["mi"]
-    mi.add_argument("--method", choices=("quadrature", "monte-carlo"), default="quadrature")
-    mi.add_argument("--samples", type=_at_least(MIN_SAMPLES),
-                    help=f"Monte Carlo sample count (default {_MC_SAMPLES})")
-    mi.add_argument("--seed", type=_at_least(0), help="Monte Carlo seed (default: the scenario's)")
+    parsers["mi"].add_argument("--samples", type=_sample_count,
+                               help="Monte Carlo sample count (quadrature if omitted)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "mi" and args.method == "quadrature":
-        for flag in ("seed", "samples"):
-            if getattr(args, flag) is not None:
-                parser.error(f"argument --{flag}: applies only to --method monte-carlo")
+    args = build_parser().parse_args(argv)
     try:
         scn = load_scenario(args.scenario, args.override)
         lines = _COMMANDS[args.command](scn, args)

@@ -82,6 +82,10 @@ DEFAULT_SCENARIO: dict = {
 #: as the order sweep's sweep.hi.  The device-rate engines take time about
 #: quadratic in the order and the rate curves memory linear in it.
 MAX_ORDER = 1024
+#: The most points a phase or ratio sweep may hold, as sweep.steps times
+#: modulation.order (1024 steps at the largest order): both hold every point,
+#: and every row, at once.
+MAX_SWEEP_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,7 @@ class Scenario:
     system: SystemParams
     scheme: str
     order: int
-    amplitude: float | str | None  # a number, "equal-power", or None when not given
+    amplitude: float | str | None  # mpsk: a number or "equal-power"; mask: None
     base_phase: float | None       # None selects the closed-form optimum
     min_bd_rate_bits: float
     sweep: SweepSpec | None
@@ -287,6 +291,8 @@ def parse_scenario(raw: dict) -> Scenario:
     if order > MAX_ORDER:
         raise ScenarioError(f"modulation.order = {order!r} exceeds the largest order, {MAX_ORDER}")
     amplitude = mo.get("amplitude")
+    if scheme == "mpsk" and amplitude is None:
+        amplitude = "equal-power"  # an omitted ring amplitude matches the grid's power
     if amplitude is not None and amplitude != "equal-power":
         amplitude = _number(amplitude, "modulation.amplitude")
         # Zero is allowed as the degenerate silent-device case.
@@ -315,6 +321,9 @@ def parse_scenario(raw: dict) -> Scenario:
                           steps=_required(sw, "sweep.steps"),
                           lo=(_number(sw["lo"], "sweep.lo") if "lo" in sw else None),
                           hi=(_number(sw["hi"], "sweep.hi") if "hi" in sw else None))
+        if sweep.variable != "order" and sweep.steps * order > MAX_SWEEP_POINTS:
+            raise ScenarioError(f"sweep.steps = {sweep.steps} at modulation.order = {order} "
+                                f"exceeds the largest sweep, {MAX_SWEEP_POINTS} points")
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 import sbcrate
 from sbcrate.channel import path_loss
 from sbcrate.constellation import equal_power_psk_amplitude
-from sbcrate.cli import main
+from sbcrate.cli import _COMMANDS, build_parser, main
 from sbcrate.scenario import DEFAULT_SCENARIO, apply_overrides, load_scenario
 
 
@@ -126,7 +127,7 @@ class TestRateCommand:
 
     RING_8 = ["--override", "modulation.scheme=mpsk", "--override", "modulation.order=8"]
 
-    @pytest.mark.parametrize("argv", [["rate"], ["mi"], ["mi", "--method", "monte-carlo"]],
+    @pytest.mark.parametrize("argv", [["rate"], ["mi"], ["mi", "--samples", "100000"]],
                              ids=["rate", "mi", "mi-mc"])
     def test_coupling_beyond_the_kernel_range_exits_2_naming_system(self, capsys, argv):
         # g |Gamma| = 7.7e155: the kernel's exponents would overflow to nan.
@@ -135,7 +136,7 @@ class TestRateCommand:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("scenario error: invalid system: gain g = 1.28")
 
-    @pytest.mark.parametrize("argv", [["rate"], ["mi"], ["mi", "--method", "monte-carlo"]],
+    @pytest.mark.parametrize("argv", [["rate"], ["mi"], ["mi", "--samples", "100000"]],
                              ids=["rate", "mi", "mi-mc"])
     def test_noise_term_beyond_the_kernel_range_exits_2_naming_system(self, capsys, argv):
         # g |Gamma| = 4.8e153 on a ring of amplitude 1e-154, but g = 4.8e307:
@@ -167,7 +168,7 @@ class TestRateCommand:
 
     @pytest.mark.parametrize("argv, column", [
         (["rate"], "bd_rate_bits"), (["mi"], "value_bits"),
-        (["mi", "--method", "monte-carlo"], "value_bits")], ids=["rate", "mi", "mi-mc"])
+        (["mi", "--samples", "100000"], "value_bits")], ids=["rate", "mi", "mi-mc"])
     def test_largest_coupling_in_range_gives_the_full_rate(self, tmp_path, argv, column):
         # g |Gamma| = 3.84e153, just inside the kernel's range.
         code, text = run_cli(tmp_path, *argv, *self.RING_8, "--override", "system.power_w=5e149")
@@ -195,6 +196,7 @@ class TestRateCommand:
             ("pathloss.gain_pt_db=5000", "pathloss.gain_pt_db = 5000 overflows in linear units"),
             ("modulation.scheme=qam", "modulation.scheme must be 'mask' or 'mpsk', got 'qam'"),
             ("modulation.order=1", "modulation.order must be an integer >= 2, got 1"),
+            ("seed=1.5", "seed must be a non-negative integer, got 1.5"),
         ]] + [
         # A section that is not an object is named, not iterated or indexed.
         pytest.param(o, m, id=o) for o, m in [
@@ -556,23 +558,27 @@ class TestMi:
         assert float(rows[0][1]) == 0.0
 
     def test_monte_carlo_row_respects_seed_flag(self, tmp_path):
+        # Monte Carlo draws from the scenario's seed, which the scenario hash records.
         scn = write_scenario_file(tmp_path, ["system.spread=1", "system.power_w=0.0005"])
-        code_a, a = run_cli(tmp_path, "mi", "--scenario", str(scn), "--method",
-                            "monte-carlo", "--samples", "20000", "--seed", "7", name="a.csv")
-        code_b, b = run_cli(tmp_path, "mi", "--scenario", str(scn), "--method",
-                            "monte-carlo", "--samples", "20000", "--seed", "7", name="b.csv")
-        code_c, c = run_cli(tmp_path, "mi", "--scenario", str(scn), "--method",
-                            "monte-carlo", "--samples", "20000", "--seed", "8", name="c.csv")
-        assert code_a == code_b == code_c == 0
-        assert a == b != c
+        a, b, c = (run_cli(tmp_path, "mi", "--scenario", str(scn), "--samples", "20000",
+                           "--override", f"seed={seed}", name=f"{i}.csv")
+                   for i, seed in enumerate((7, 7, 8)))
+        assert a[0] == b[0] == c[0] == 0
+        assert a[1] == b[1]
+        (a_meta, a_rows, _), (c_meta, c_rows, _) = parse_csv(a[1]), parse_csv(c[1])
+        assert a_meta[0] != c_meta[0] and a_rows != c_rows
 
     def test_monte_carlo_output_records_its_seed_and_samples(self, tmp_path):
-        args = ["mi", "--method", "monte-carlo", "--override", "system.power_w=1e-9"]
-        _, given = run_cli(tmp_path, *args, "--samples", "20000", "--seed", "1", name="g.csv")
+        args = ["mi", "--samples", "20000", "--override", "system.power_w=1e-9"]
+        _, given = run_cli(tmp_path, *args, "--override", "seed=1", name="g.csv")
         _, default = run_cli(tmp_path, *args, name="d.csv")
+        _, quadrature = run_cli(tmp_path, "mi", "--override", "system.power_w=1e-9", name="q.csv")
         assert parse_csv(given)[0][2] == "# seed=1 samples=20000"
-        assert parse_csv(default)[0][2] == f"# seed={DEFAULT_SCENARIO['seed']} samples=100000"
-        assert parse_csv(default)[0][:2] == parse_csv(given)[0][:2]
+        assert parse_csv(default)[0][2] == f"# seed={DEFAULT_SCENARIO['seed']} samples=20000"
+        assert parse_csv(default)[0][1] == parse_csv(given)[0][1] == "# command=mi"
+        assert parse_csv(default)[0][0] != parse_csv(given)[0][0]
+        # Quadrature draws nothing and records no seed.
+        assert parse_csv(quadrature)[0] == parse_csv(default)[0][:2]
 
 
 class TestExitCodes:
@@ -605,6 +611,7 @@ class TestExitCodes:
                                   "optimize")),
         *((c, "--grid") for c in ("rate", "phase-sweep", "ratio-sweep", "order-sweep",
                                   "optimize", "mi")),
+        ("mi", "--seed"), ("mi", "--method"),
     ])
     def test_flag_a_subcommand_does_not_read_is_an_argparse_error(self, tmp_path, capsys,
                                                                   command, flag):
@@ -614,23 +621,13 @@ class TestExitCodes:
         assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
-    @pytest.mark.parametrize("flag", ["--seed", "--samples"])
-    def test_sampling_flag_under_quadrature_exits_2_naming_it(self, tmp_path, capsys, flag):
-        with pytest.raises(SystemExit) as info:
-            run_cli(tmp_path, "mi", flag, "20000")
-        assert info.value.code == 2
-        assert (f"argument {flag}: applies only to --method monte-carlo"
-                in capsys.readouterr().err)
-        assert not (tmp_path / "out.csv").exists()
-
     @pytest.mark.parametrize("flag, value, floor", [
-        ("--seed", "-1", 0), ("--seed", "1.5", 0),
         ("--samples", "0", 10_000), ("--samples", "9999", 10_000),
     ])
     def test_sampling_flag_below_its_floor_names_the_flag(self, tmp_path, capsys, flag, value,
                                                           floor):
         with pytest.raises(SystemExit) as info:
-            run_cli(tmp_path, "mi", "--method", "monte-carlo", flag, value)
+            run_cli(tmp_path, "mi", flag, value)
         assert info.value.code == 2
         assert (f"argument {flag}: must be an integer >= {floor}, got {value!r}"
                 in capsys.readouterr().err)
@@ -645,6 +642,20 @@ class TestExitCodes:
         assert info.value.code == 2
         assert f"unrecognized arguments: --grid {grid}" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestParser:
+    def test_each_subcommand_takes_the_common_flags_and_mi_its_sample_count(self):
+        # The (subcommand, flag) pairs, help aside: 6 subcommands x 3 common flags + 1.
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        pairs = {(name, flag) for name, parser in subparsers.choices.items()
+                 for action in parser._actions if not isinstance(action, argparse._HelpAction)
+                 for flag in action.option_strings}
+        common = {(name, flag) for name in _COMMANDS
+                  for flag in ("--scenario", "--out", "--override")}
+        assert pairs == common | {("mi", "--samples")}
+        assert len(pairs) == 19
 
 
 class TestDeterminism:

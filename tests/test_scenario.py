@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbcrate.phase_opt import phase_period
-from sbcrate.scenario import (DEFAULT_SCENARIO, MAX_ORDER, Scenario, ScenarioError,
-                              apply_overrides, db_to_linear, dbm_to_watt, load_scenario,
-                              parse_scenario, scenario_hash, scenario_to_dict)
+from sbcrate.scenario import (DEFAULT_SCENARIO, MAX_ORDER, MAX_SWEEP_POINTS, Scenario,
+                              ScenarioError, apply_overrides, db_to_linear, dbm_to_watt,
+                              load_scenario, parse_scenario, scenario_hash, scenario_to_dict)
 
 
 def write_scenario(scn: Scenario, path: Path) -> None:
@@ -93,6 +94,27 @@ class TestParsing:
         raw = apply_overrides(DEFAULT_SCENARIO, ["seed=-3"])
         with pytest.raises(ScenarioError, match="seed"):
             parse_scenario(raw)
+
+    # A phase or ratio sweep holds steps x order points at once, so it is
+    # bounded at load, before any point is computed.
+    @pytest.mark.parametrize("variable", ["base_phase", "channel_ratio"])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at", "past"])
+    def test_sweep_points_are_bounded(self, variable, extra):
+        steps = MAX_SWEEP_POINTS // 8 + extra
+        overrides = ["modulation.order=8", f'sweep={{"variable":"{variable}","steps":{steps}}}']
+        if not extra:
+            assert load_scenario(None, overrides).sweep.steps == steps
+            return
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"sweep.steps = {steps} at modulation.order = 8 exceeds the largest sweep, "
+                f"{MAX_SWEEP_POINTS} points")):
+            load_scenario(None, overrides)
+
+    def test_order_sweep_steps_are_not_bounded(self):
+        # An order sweep ignores its steps.
+        steps = MAX_SWEEP_POINTS + 1
+        scn = load_scenario(None, [f'sweep={{"variable":"order","steps":{steps}}}'])
+        assert scn.sweep.steps == steps
 
 
 class TestOverrides:
@@ -188,8 +210,8 @@ class TestRoundTrip:
     @pytest.mark.parametrize("overrides, digest", [
         ([], "c00c3691acf0"),
         (["modulation.base_phase=1.25"], "32063a3bb6ee"),
-        (["modulation.scheme=mpsk"], "5baa0be53e51"),
-        (["modulation.scheme=mpsk", "modulation.amplitude=null"], "5baa0be53e51"),
+        (["modulation.scheme=mpsk"], "acc6afaf9392"),
+        (["modulation.scheme=mpsk", "modulation.amplitude=null"], "acc6afaf9392"),
         (["modulation.scheme=mpsk", "modulation.amplitude=equal-power"], "acc6afaf9392"),
         (["modulation.scheme=mpsk", "modulation.amplitude=0"], "17687605297e"),
         (["modulation.scheme=mpsk", "modulation.order=4", "modulation.amplitude=0.9",
@@ -200,7 +222,8 @@ class TestRoundTrip:
     ])
     def test_hash_values_are_pinned(self, overrides, digest):
         # Digests label every emitted artifact, so the canonical form must not
-        # drift; an mpsk scenario without an amplitude serialises it as null.
+        # drift; an mpsk scenario without an amplitude runs, and so hashes, as
+        # the equal-power ring.
         scn = parse_scenario(apply_overrides(DEFAULT_SCENARIO, overrides))
         assert scenario_hash(scn) == digest
 
