@@ -18,7 +18,10 @@ that term needs only the upper half of the plane.
 
 The rule is the trapezoidal rule on a lattice of unit-noise nodes in a disc,
 its step halved at each level (`_trapezoid_nodes`); the integrand is
-analytic, so the difference of two levels is an honest error estimate.
+analytic, so the difference of two levels is an honest error estimate.  That
+estimate always needs the first two levels, so their nodes go through the
+kernel in one pass; each level is still summed on its own, in the same
+blocks and order as alone, so the pass changes no bit.
 
 The sampled estimators draw fixed-size chunks, each from its own substream,
 on one thread per usable CPU, and add the per-chunk sums in chunk order: a
@@ -33,6 +36,7 @@ when the call returns.
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import os
@@ -292,7 +296,7 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics,
     carrying the best estimate if `_LEVELS` levels do not get there.
     """
     points = np.asarray(c.points, dtype=complex)
-    if stats.gain == 0.0 or np.all(points == points[0]):
+    if stats.gain == 0.0 or (points == points[0]).all():
         # Output carries no information about the symbol.
         return MiEstimate(value_bits=0.0, std_error_bits=0.0, method="quadrature")
     check_gain(stats.gain, float(np.abs(points).max()))
@@ -303,42 +307,63 @@ def mi_quadrature(c: Constellation, stats: MrcStatistics,
     canonical = shifted * (abs(far) / far)
     # terms[k] is evaluated and stands for counts[k] equal terms of the M.
     terms, counts = np.arange(M), np.ones(M)
-    if np.all(np.abs(canonical.imag) <= _STRUCTURE_TOL * abs(far)):
+    if (np.abs(canonical.imag) <= _STRUCTURE_TOL * abs(far)).all():
         points, region = canonical.real, "line"
         ranked = np.argsort(points)
         ends = points[ranked[0]] + points[ranked[-1]]
-        if np.all(np.abs(points[ranked] + points[ranked[::-1]] - ends)
-                  <= _STRUCTURE_TOL * abs(far)):
+        if (np.abs(points[ranked] + points[ranked[::-1]] - ends)
+                <= _STRUCTURE_TOL * abs(far)).all():
             terms, counts = ranked[:(M + 1) // 2], np.full((M + 1) // 2, 2.0)
             if M % 2:
                 counts[-1] = 1.0
     else:
         region = "plane"
         ring = points[0] * np.exp(2j * math.pi * terms / M)
-        if np.all(np.abs(points - ring) <= _STRUCTURE_TOL * abs(points[0])):
+        if (np.abs(points - ring) <= _STRUCTURE_TOL * abs(points[0])).all():
             points, region = points * (abs(points[0]) / points[0]), "half_plane"
             terms, counts = terms[:1], np.array([float(M)])
     block = max(_KERNEL_BLOCK // M, 1)
     coarsen = 2.0 if region == "line" else 4.0  # 2^d: the step halves in d dimensions
+    located, root_gain = (stats.gain * points[terms])[:, None], math.sqrt(stats.gain)
 
-    def added(level: int) -> float:
-        z, weights = _trapezoid_nodes(level, region)
-        noise = math.sqrt(stats.gain) * z
-        count = len(terms) * len(z)
-        total = 0.0
-        for start in range(0, count, block):
-            term, node = np.divmod(np.arange(start, min(start + block, count)), len(z))
-            m = terms[term]
-            y = stats.gain * points[m] + noise[node]
-            v = _log_ratio_bits(y.real, y.imag, m, points, stats.gain)
-            # (w * v).sum(), not w @ v: numpy's pairwise sum, not a BLAS dot
-            # whose bits may depend on the machine.
-            total += float((counts[term] * weights[node] * v).sum())
-        return _finite(total) / M
+    def added(*levels: int) -> list[float]:
+        """What each of `levels` adds, all through one kernel pass over their nodes.
 
-    prev = added(0)
+        The kernel takes the terms x nodes matrix in tiles of whole rows, or of
+        `block` columns of one row, about `block` entries each.  Each level
+        sums its weighted values in term-major order, in blocks of `block`
+        entries; the entries past a tile's last whole block wait for the next.
+        """
+        rules = [_trapezoid_nodes(level, region) for level in levels]
+        z, weights = rules[0] if len(rules) == 1 else map(np.concatenate, zip(*rules))
+        # Level i owns the columns bounds[i]:bounds[i + 1].
+        bounds = [0, *itertools.accumulate(len(nodes) for nodes, _ in rules)]
+        rows = max(block // len(z), 1)
+        totals, pending = [0.0] * len(levels), [np.empty(0)] * len(levels)
+        for r in range(0, len(terms), rows):
+            for c in range(0, len(z), block):
+                y = located[r:r + rows] + root_gain * z[c:c + block]
+                v = _log_ratio_bits(y.real.ravel(), y.imag.ravel(),
+                                    terms[r:r + rows].repeat(y.shape[1]), points, stats.gain)
+                # (w * v).sum(), not w @ v: numpy's pairwise sum, not a BLAS dot
+                # whose bits may depend on the machine.
+                wv = np.multiply.outer(counts[r:r + rows], weights[c:c + block])
+                wv *= v.reshape(y.shape)
+                for i in range(len(levels)):
+                    lo, hi = max(bounds[i] - c, 0), min(bounds[i + 1] - c, y.shape[1])
+                    if lo < hi:
+                        part = wv[:, lo:hi].ravel()
+                        if len(pending[i]):
+                            part = np.concatenate((pending[i], part))
+                        whole = len(part) - len(part) % block
+                        for start in range(0, whole, block):
+                            totals[i] += float(part[start:start + block].sum())
+                        pending[i] = part[whole:]
+        return [_finite(total + float(rest.sum())) / M for total, rest in zip(totals, pending)]
+
+    prev, fine = added(0, 1)
     for level in range(1, _LEVELS):
-        cur = prev / coarsen + added(level)
+        cur = prev / coarsen + (fine if level == 1 else added(level)[0])
         if abs(cur - prev) <= tol:
             return MiEstimate(value_bits=cur, std_error_bits=0.0, method="quadrature")
         prev = cur

@@ -104,13 +104,15 @@ def pt_rate_psk_infinite(sys: SystemParams, ch: ChannelTriple, alpha0: float) ->
         raise ValueError(f"ring amplitude alpha0 must lie in [0, 1], got {alpha0!r}")
     rho = sys.snr_scale
     d1 = 1.0 + rho * (ch.a1**2 + (ch.a23 * alpha0) ** 2)
-    d2 = 2.0 * rho * ch.a1 * ch.a23 * alpha0
+    d2 = 2.0 * (rho * ch.a1 * ch.a23 * alpha0)  # 2 rho alone may overflow
     # d1 - d2 = 1 + P(|h1| - |h2 h3| alpha0)^2/sigma^2 >= 1, formed directly:
     # the difference of the rounded d1 and d2 cancels, and can even turn
     # negative, when the direct and backscatter amplitudes nearly coincide.
     d1_minus_d2 = 1.0 + rho * (ch.a1 - ch.a23 * alpha0) ** 2
-    root = math.sqrt(d1_minus_d2 * (d1 + d2))
-    return math.log2(0.5 * (d1 + root))
+    # Each factor's root, and each term halved (exactly): the product overflows
+    # once d1 passes about 1.3e154, and d1 + root once it passes 9e307.
+    root = math.sqrt(d1_minus_d2) * math.sqrt(d1 + d2)
+    return math.log2(0.5 * d1 + 0.5 * root)
 
 
 # ---------------------------------------------------------------------------

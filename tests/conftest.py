@@ -1,5 +1,6 @@
 """Shared fixtures, the default operating point used across the suite, and helpers."""
 
+import mpmath
 import pytest
 
 from sbcrate import link_sim
@@ -41,6 +42,15 @@ def channel_from_polar(a1: float, a2: float, a3: float,
     """Construct a channel triple directly from amplitudes and phases."""
     from cmath import exp
     return ChannelTriple(h1=a1 * exp(1j * t1), h2=a2 * exp(1j * t2), h3=a3 * exp(1j * t3))
+
+
+def psk_infinite_50_digits(sys, ch, alpha0: float) -> float:
+    """log2((d1 + sqrt((d1 - d2)(d1 + d2))) / 2), the infinite-order ring's rate, at 50 digits."""
+    with mpmath.workdps(50):
+        rho, a1 = mpmath.mpf(sys.snr_scale), mpmath.mpf(ch.a1)
+        a23 = mpmath.mpf(ch.a2) * mpmath.mpf(ch.a3) * mpmath.mpf(alpha0)
+        d1, d2 = 1 + rho * (a1**2 + a23**2), 2 * rho * a1 * a23
+        return float(mpmath.log((d1 + mpmath.sqrt((d1 - d2) * (d1 + d2))) / 2, 2))
 
 
 def combiner_outputs(sys, ch, c, n_bd_symbols: int, rng: link_sim.RngSpec, *subkey: int):

@@ -87,11 +87,15 @@ def added(level: int, region: str) -> int:
     return len(_trapezoid_nodes(level, region)[0])
 
 
-def assert_work(kernel_entries, per_node: int, region: str) -> None:
-    """Levels ran in turn from the first, each with `per_node` kernel entries per node it adds."""
-    assert len(kernel_entries) >= 2
-    assert kernel_entries == [[level, per_node * added(level, region)]
-                              for level in range(len(kernel_entries))]
+def assert_work(kernel_passes, per_node: int, region: str) -> None:
+    """Levels ran in turn from the first, each with `per_node` kernel entries per node it adds.
+
+    The first kernel pass covers levels 0 and 1, each later pass one level.
+    """
+    assert len(kernel_passes) >= 1
+    assert kernel_passes[0] == [[0, 1], per_node * (added(0, region) + added(1, region))]
+    assert kernel_passes[1:] == [[[level], per_node * added(level, region)]
+                                 for level in range(2, len(kernel_passes) + 1)]
 
 
 def whole_log_ratio_oracle(y, conditioned, points, g: float) -> np.ndarray:
@@ -160,26 +164,31 @@ def adaptive_mi_collinear(points, g: float) -> float:
 
 
 @pytest.fixture
-def kernel_entries(monkeypatch):
-    """Log-ratio kernel matrix entries (symbols x observations), per quadrature level.
+def kernel_passes(monkeypatch):
+    """Log-ratio kernel matrix entries (symbols x observations), per kernel pass.
 
-    Each entry is [level, entries]; a level starts when the engine fetches its nodes.
+    Each entry is [levels, entries]; a pass starts at the first kernel call
+    after the engine fetches nodes, and covers the levels fetched since the
+    last pass.
     """
     engine = importlib.import_module("sbcrate.bd_rate")
     rule, kernel = engine._trapezoid_nodes, engine._log_ratio_bits
-    levels = []
+    passes, fetched = [], []
 
     def counting_rule(level, region):
-        levels.append([level, 0])
+        fetched.append(level)
         return rule(level, region)
 
-    def counting_kernel(yr, yi, conditioned, points, g):
-        levels[-1][1] += len(points) * len(yr)
-        return kernel(yr, yi, conditioned, points, g)
+    def counting_kernel(yr, yi, conditioned, points, g, *args, **kwargs):
+        if fetched:
+            passes.append([fetched[:], 0])
+            fetched.clear()
+        passes[-1][1] += len(points) * len(yr)
+        return kernel(yr, yi, conditioned, points, g, *args, **kwargs)
 
     monkeypatch.setattr(engine, "_trapezoid_nodes", counting_rule)
     monkeypatch.setattr(engine, "_log_ratio_bits", counting_kernel)
-    return levels
+    return passes
 
 
 class TestMrcStatistics:
@@ -509,35 +518,35 @@ class TestMiQuadrature:
         ([0.4j * np.exp(2.0j), (-0.5 + 0.4j) * np.exp(2.0j), (0.5 + 0.4j) * np.exp(2.0j)],
          mask_constellation(3, 1.1)),
     ], ids=["two_points", "offset_line"])
-    def test_collinear_explicit_set_takes_1d_rule(self, kernel_entries, points, mask):
+    def test_collinear_explicit_set_takes_1d_rule(self, kernel_passes, points, mask):
         M = len(points)
         for g in (0.5, 40.0, 2000.0):
-            kernel_entries.clear()
+            kernel_passes.clear()
             est = mi_quadrature(explicit_constellation(points), MrcStatistics(g, g))
             # Both lines are symmetric about their midpoints: ceil(M/2) terms.
-            assert_work(kernel_entries, (M + 1) // 2 * M, "line")
+            assert_work(kernel_passes, (M + 1) // 2 * M, "line")
             ref = mi_quadrature(mask, MrcStatistics(g, g))
             assert abs(est.value_bits - ref.value_bits) <= 1e-12, g
 
-    def test_set_off_its_line_keeps_2d_rule(self, kernel_entries):
+    def test_set_off_its_line_keeps_2d_rule(self, kernel_passes):
         rot = np.exp(2.0j)
         points = [0.4j * rot, (-0.5 + 0.4j) * rot, (0.5 + 0.401j) * rot]
         mi_quadrature(explicit_constellation(points), MrcStatistics(40.0, 40.0))
-        assert_work(kernel_entries, 3 * 3, "plane")
+        assert_work(kernel_passes, 3 * 3, "plane")
 
-    def test_rotation_symmetry_is_read_from_the_points(self, kernel_entries):
+    def test_rotation_symmetry_is_read_from_the_points(self, kernel_passes):
         stats = MrcStatistics(40.0, 40.0)
         rot = np.exp(0.3j)
         ring = explicit_constellation([p * rot for p in mpsk_constellation(8, 0.9, 0.1).points])
         mi_quadrature(ring, stats)
-        assert_work(kernel_entries, 8, "half_plane")
+        assert_work(kernel_passes, 8, "half_plane")
         # Three points off any equally spaced ring keep every conditioned term.
-        kernel_entries.clear()
+        kernel_passes.clear()
         mi_quadrature(explicit_constellation([0.9 + 0j, 0.5j, -0.3 - 0.4j]), stats)
-        assert_work(kernel_entries, 3 * 3, "plane")
+        assert_work(kernel_passes, 3 * 3, "plane")
 
     @pytest.mark.parametrize("scheme", ["mask", "mpsk"])
-    def test_work_per_level_follows_structure(self, kernel_entries, scheme):
+    def test_work_per_level_follows_structure(self, kernel_passes, scheme):
         # Deterministic guard against a silent fall back to all M terms, to
         # the whole plane or to evaluating a coarser level's nodes again: M/2
         # terms of M entries per added node of the mirrored line, M per added
@@ -546,17 +555,17 @@ class TestMiQuadrature:
         c = mask_constellation(M, 0.3) if scheme == "mask" else mpsk_constellation(M, 0.9, 0.1)
         mi_quadrature(c, MrcStatistics(200.0, 200.0))
         if scheme == "mask":
-            assert_work(kernel_entries, M // 2 * M, "line")
+            assert_work(kernel_passes, M // 2 * M, "line")
         else:
-            assert_work(kernel_entries, M, "half_plane")
+            assert_work(kernel_passes, M, "half_plane")
 
-    def test_line_terms_follow_its_mirror_symmetry(self, kernel_entries):
+    def test_line_terms_follow_its_mirror_symmetry(self, kernel_passes):
         stats = MrcStatistics(40.0, 40.0)
         for points, terms in (([0.0, 0.1, 1.0], 3), (mask_constellation(3, 0.0).points, 2)):
-            kernel_entries.clear()
+            kernel_passes.clear()
             est = mi_quadrature(explicit_constellation(points), stats, tol=math.inf)
-            assert_work(kernel_entries, terms * 3, "line")
-            assert len(kernel_entries) == 2
+            assert_work(kernel_passes, terms * 3, "line")
+            assert len(kernel_passes) == 1
             # [0, 0.1, 1] has no mirror and keeps all M terms; an odd mask
             # set evaluates ceil(M/2) and counts its middle term once.
             ref = level_one_oracle(np.real(points), 40.0)

@@ -16,6 +16,8 @@ from sbcrate.constellation import equal_power_psk_amplitude
 from sbcrate.cli import _COMMANDS, build_parser, main
 from sbcrate.scenario import DEFAULT_SCENARIO, apply_overrides, load_scenario
 
+from .conftest import psk_infinite_50_digits
+
 
 def run_cli(tmp_path, *argv: str, name: str = "out.csv") -> tuple[int, str]:
     out = tmp_path / name
@@ -466,6 +468,24 @@ class TestOrderSweep:
         assert inf == pytest.approx(math.log2(0.5 * (d1 + math.sqrt(2.0 * d1))), rel=1e-12)
         # Each finite-order optimum beats the phase average, which is the limit.
         assert all(float(r[2]) >= inf for r in rows)
+
+    @pytest.mark.parametrize("l1", [None, "[3.5e7,0]"], ids=["d1_3.6e292", "d1_1.2e308"])
+    def test_infinite_rate_is_finite_beside_finite_rates(self, tmp_path, l1):
+        # d1 of the continuous-phase average is past the root of the float
+        # range (rates of about 972 bits), or past half of it (1023 bits).
+        scn = write_scenario_file(tmp_path, [
+            "modulation.scheme=mpsk", "system.power_w=1e290", "fading.l3=[1e-160,0]",
+            'sweep={"variable":"order","lo":2,"hi":8,"steps":1}',
+        ] + ([f"fading.l1={l1}"] if l1 else []))
+        code, text = run_cli(tmp_path, "order-sweep", "--scenario", str(scn))
+        assert code == 0
+        meta, rows, _ = parse_csv(text)
+        inf = float(meta[-1].split("psk_infinite_rate_bits=")[1])
+        sc = load_scenario(scn)
+        # sqrt(1/3): the equal-power ring's amplitude as the order grows.
+        exact = psk_infinite_50_digits(sc.system, sc.channel(), math.sqrt(1.0 / 3.0))
+        assert abs(inf - exact) <= 2 * math.ulp(exact)
+        assert all(abs(float(r[2]) - inf) <= 1e-9 for r in rows)
 
 
 def optimize_report(tmp_path, overrides: list[str]) -> dict[str, str]:

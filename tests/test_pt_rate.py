@@ -12,7 +12,7 @@ from sbcrate.phase_opt import optimal_phase
 from sbcrate.pt_rate import (max_pt_rate_ask, max_pt_rate_psk, pt_rate, pt_rate_ask_infinite,
                              pt_rate_no_bd, pt_rate_psk_infinite)
 
-from .conftest import channel_from_polar
+from .conftest import channel_from_polar, psk_infinite_50_digits
 
 TWO_PI = 2.0 * math.pi
 UNIT_SYS = SystemParams(power_w=1.0, noise_w=1.0, spread=1)
@@ -236,6 +236,25 @@ class TestPskInfinite:
         half = (np.arange(n) + 0.5) * (math.pi / n)
         oracle = float(np.log1p(rho * (2.0 * alpha0 * np.cos(half)) ** 2).mean() / math.log(2.0))
         assert pt_rate_psk_infinite(sys, ch, alpha0) == pytest.approx(oracle, abs=1e-4)
+
+    def test_matches_50_digit_closed_form_across_the_float_range(self):
+        # The closed form at 50 digits, d1 up to the float range: the product
+        # (d1 - d2)(d1 + d2) passes it once d1 passes 1.3e154, d1 + root once
+        # d1 passes 9e307.
+        rng = np.random.default_rng(3)
+        cases = [(10.0 ** rng.uniform(-20.0, 300.0), 10.0 ** rng.uniform(-3.0, 0.0, size=3),
+                  rng.uniform(0, TWO_PI, size=3), float(rng.uniform(0.0, 1.0)))
+                 for _ in range(400)]
+        # d1 past 9e307: a faint backscatter path, and one of 0.3 |h1| at d1 + d2 = 1.7e308.
+        cases += [(power, (1.0, 1e-3, 1e-3), (0.0, 0.5, 1.0), 0.5)
+                  for power in (9.5e307, 1.2e308, 1.7e308)]
+        cases += [(1.7e308 / 1.3**2, (1.0, 1.0, 0.6), (0.0, 0.0, 0.0), 0.5)]
+        for power, amplitudes, phases, alpha0 in cases:
+            sys = SystemParams(power_w=power, noise_w=1.0, spread=1)
+            ch = channel_from_polar(*amplitudes, *phases)
+            exact = psk_infinite_50_digits(sys, ch, alpha0)
+            got = pt_rate_psk_infinite(sys, ch, alpha0)
+            assert abs(got - exact) <= 2 * math.ulp(max(exact, 1.0)), (sys, ch, alpha0)
 
     def test_ring_amplitude_outside_unit_interval_rejected(self):
         ch = channel_from_polar(1.0, 1.0, 1.0)

@@ -1,10 +1,11 @@
-"""Peak memory of one sampler worker.
+"""Peak memory of one sampler worker, and of the quadrature.
 
 numpy reports its heap buffers to tracemalloc; a worker's scratch buffers
 are anonymous memory maps, which tracemalloc does not see, so their sizes
 are counted as they are mapped (they stay mapped until the call returns).
 A chunk may hold only the arrays its draw order forces; every other array
-is the size of a block of about `_KERNEL_BLOCK` samples.
+is the size of a block of about `_KERNEL_BLOCK` samples.  The quadrature
+likewise hands the kernel tiles of about `_KERNEL_BLOCK` matrix entries.
 """
 
 import importlib
@@ -12,11 +13,12 @@ import mmap
 import tracemalloc
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from sbcrate.bd_rate import MrcStatistics, mi_monte_carlo
+from sbcrate.bd_rate import MrcStatistics, mi_monte_carlo, mi_quadrature
 from sbcrate.channel import SystemParams
-from sbcrate.constellation import mpsk_constellation
+from sbcrate.constellation import explicit_constellation, mask_constellation, mpsk_constellation
 from sbcrate.link_sim import RngSpec, empirical_bd_mi
 
 MiB = 2**20
@@ -65,3 +67,20 @@ def test_monte_carlo_worker_holds_indices_and_real_parts(peak_bytes):
     c = mpsk_constellation(8, 0.8, 0.1)
     peak = peak_bytes(lambda: mi_monte_carlo(c, MrcStatistics(60.0, 60.0), 2**20, 3))
     assert peak < 12 * MiB
+
+
+def test_quadrature_of_a_large_plane_set_works_in_tiles(peak_bytes):
+    # 64 terms over the whole plane: 33088 and 100864 observations at the
+    # first two levels, which share one kernel pass.  Built whole, that pass
+    # took 19.7 MiB.
+    rng = np.random.default_rng(5)
+    c = explicit_constellation(np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64)))
+    peak = peak_bytes(lambda: mi_quadrature(c, MrcStatistics(30.0, 30.0)))
+    assert peak < 2 * MiB
+
+
+def test_quadrature_of_a_high_order_line_works_in_tiles(peak_bytes):
+    # 512 mirrored terms of a 1-D rule; built whole, the first pass took 2.0 MiB.
+    c = mask_constellation(1024, 0.3)
+    peak = peak_bytes(lambda: mi_quadrature(c, MrcStatistics(3000.0, 3000.0)))
+    assert peak < 2 * MiB
